@@ -7,9 +7,12 @@ re-merges ``O(k log S)`` nodes instead of copying and reducing all
 ``S`` shards.  This benchmark measures that promise in its sweet spot
 — a heavy pre-ingested state, then repeated refreshes with exactly
 one dirty shard — and records the refresh latency distribution (p50 /
-p99) for both snapshot modes plus their speedup, **gated at >= 3x**.
-Bit-identity between the two modes is asserted on every single
-refresh; a fast wrong snapshot counts for nothing.
+p99) for the incremental plane and for a full rebuild, plus their
+speedup, **gated at >= 3x**.  The full rebuild is the reference reduce
+the equivalence tests use (``tests/snapshot_oracle.py``: fresh copies
+of every shard, reduced from scratch).  Bit-identity between the two
+is asserted on every single refresh; a fast wrong snapshot counts for
+nothing.
 
 A second section measures the serving engine's append stall: cadence
 refreshes now capture only a cheap epoch cut under the ingest lock
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -35,6 +39,11 @@ import numpy as np
 from repro.runtime.sharded import ShardedRunner
 from repro.serve import LiveEngine
 from repro.streams import zipf_stream
+
+# The full-rebuild arm is the test suite's oracle, shared so the gate
+# and the equivalence sweep measure against one definition.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from snapshot_oracle import reference_snapshot  # noqa: E402
 
 
 def _quick(m: int, floor: int = 40_000) -> int:
@@ -70,31 +79,31 @@ def run_refresh_speedup(
     rounds: int = 25,
     sketch: str = "count-min",
 ) -> dict:
-    """Refresh latency with 1-of-``shards`` dirty, both modes.
+    """Refresh latency with 1-of-``shards`` dirty: incremental plane
+    vs full rebuild.
 
     Both runners pre-ingest the identical stream and take one warm-up
     snapshot.  Each round then appends a small batch routed entirely
     to **one** shard (items filtered by the runner's own partition
-    hash) and times ``merged_snapshot()`` in each mode; the two
-    snapshots' serialized states are compared bit for bit every
-    round.
+    hash) and times one refresh per arm — ``merged_snapshot()`` on the
+    incremental runner, :func:`reference_snapshot` over the full
+    runner's shards; the two snapshots' serialized states are
+    compared bit for bit every round.
     """
     stream = zipf_stream(n, m, skew=skew, seed=seed).materialize()
+    refresh = {
+        "incremental": lambda runner: runner.merged_snapshot(),
+        "full": lambda runner: reference_snapshot(runner.shards),
+    }
     runners = {
         mode: ShardedRunner.from_registry(
-            sketch,
-            shards,
-            n=n,
-            m=m,
-            epsilon=epsilon,
-            seed=seed,
-            snapshot_mode=mode,
+            sketch, shards, n=n, m=m, epsilon=epsilon, seed=seed
         )
-        for mode in ("incremental", "full")
+        for mode in refresh
     }
-    for runner in runners.values():
+    for mode, runner in runners.items():
         runner.ingest(stream)
-        runner.merged_snapshot()  # warm the caches / level the field
+        refresh[mode](runner)  # warm the caches / level the field
 
     # Items that all route to one shard: the per-round dirty set.
     probe = runners["incremental"]
@@ -104,14 +113,14 @@ def run_refresh_speedup(
         dtype=np.int64,
     )[:64]
 
-    times: dict[str, list[float]] = {"incremental": [], "full": []}
+    times: dict[str, list[float]] = {mode: [] for mode in refresh}
     identical = True
     for _ in range(rounds):
         states = {}
         for mode, runner in runners.items():
             runner.ingest(dirty_pool)
             started = time.perf_counter()
-            merged = runner.merged_snapshot()
+            merged = refresh[mode](runner)
             times[mode].append(time.perf_counter() - started)
             states[mode] = json.dumps(merged.to_state(), sort_keys=True)
         identical = identical and (
@@ -135,10 +144,7 @@ def run_refresh_speedup(
             mode: _timing_row(samples)
             for mode, samples in times.items()
         },
-        "snapshot_stats": {
-            mode: runner.snapshot_stats()
-            for mode, runner in runners.items()
-        },
+        "snapshot_stats": runners["incremental"].snapshot_stats(),
         "speedup_p50": speedup_p50,
         "speedup_mean": speedup_mean,
         "bit_identical": identical,
@@ -165,25 +171,23 @@ def run_append_stall(
     reduction column is measured, not modeled.
     """
     stream = zipf_stream(n, m, skew=skew, seed=seed).materialize()
-    arms = {}
-    for mode in ("incremental", "full"):
-        engine = LiveEngine(
-            "count-min",
-            n=n,
-            m=m,
-            epsilon=epsilon,
-            seed=seed,
-            shards=shards,
-            snapshot_every=snapshot_every,
-            snapshot_mode=mode,
-        )
-        for low in range(0, len(stream), append_size):
-            engine.append(stream[low : low + append_size])
-        engine.finish()
-        stats = engine.stats()
-        in_lock = stats["append_lock_held_ms"]
-        merge = stats["refresh_mean_ms"] * stats["refresh_count"]
-        arms[mode] = {
+    engine = LiveEngine(
+        "count-min",
+        n=n,
+        m=m,
+        epsilon=epsilon,
+        seed=seed,
+        shards=shards,
+        snapshot_every=snapshot_every,
+    )
+    for low in range(0, len(stream), append_size):
+        engine.append(stream[low : low + append_size])
+    engine.finish()
+    stats = engine.stats()
+    in_lock = stats["append_lock_held_ms"]
+    merge = stats["refresh_mean_ms"] * stats["refresh_count"]
+    arms = {
+        "incremental": {
             "append_lock_held_ms": in_lock,
             "append_lock_wait_ms": stats["append_lock_wait_ms"],
             "off_lock_merge_ms": merge,
@@ -195,6 +199,7 @@ def run_append_stall(
             "refresh_mean_ms": stats["refresh_mean_ms"],
             "refresh_max_ms": stats["refresh_max_ms"],
         }
+    }
     return {
         "benchmark": "snapshot-append-stall",
         "stream": {"n": n, "m": m, "skew": skew, "seed": seed},
@@ -256,9 +261,8 @@ def test_snapshot_refresh(save_result):
     assert payload["speedup_p50"] >= 3.0, payload["refresh"]
     # The memoization must actually be memoizing: per round, one leaf
     # cloned and log2(shards) nodes rebuilt, the rest served cached.
-    stats = payload["snapshot_stats"]["incremental"]
+    stats = payload["snapshot_stats"]
     assert stats["leaves_reused"] > 0 and stats["nodes_reused"] > 0, stats
-    assert payload["snapshot_stats"]["full"]["full_rebuilds"] > 0
     # Append-stall: the merge work measurably left the lock hold.
     for mode, arm in payload["append_stall"]["arms"].items():
         assert arm["off_lock_merge_ms"] > 0.0, (mode, arm)

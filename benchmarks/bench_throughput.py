@@ -33,14 +33,15 @@ as many cores as shards (a single-core container cannot parallelize
 CPU-bound work, so there the bench asserts only bounded overhead).
 
 The parallel-pipeline section runs the same chunked stream through all
-four execution modes — serial, thread pool, barrier process pool
-(``pipeline_depth=0``), and the pipelined shared-memory pool — and
-asserts the four-way bit-identity (merged state, per-shard audits,
-point-query answers) unconditionally.  Because the barrier pool's
-``ingest()`` only routes and its ``merge()`` runs the workers, the two
-phases are separable, and the pipelined executor's routing/ingest
-overlap becomes measurable: on multi-core hosts its end-to-end wall
-time must beat route + barrier-worker time.  The results are committed
+three execution modes — serial, thread pool, and the pipelined
+shared-memory process pool — and asserts the three-way bit-identity
+(merged state, per-shard audits, point-query answers)
+unconditionally.  It also times the two phases a back-to-back executor
+would run in sequence: *route* (the thread executor's ``ingest()``,
+which only routes and buffers) and *worker* (each shard's payload
+ingested in-process, spread over the usable workers).  On multi-core
+hosts the pipelined executor's end-to-end wall time must beat route +
+worker time, because it overlaps the two.  The results are committed
 as ``benchmarks/results/BENCH_parallel_pipeline.json``.
 
 Setting ``REPRO_BENCH_QUICK=1`` shrinks the stream sizes (used by the
@@ -56,6 +57,7 @@ import os
 import time
 
 from repro import registry
+from repro.runtime.parallel import resolve_workers
 from repro.runtime.sharded import ShardedRunner
 from repro.state import make_tracker
 from repro.streams import zipf_stream
@@ -549,18 +551,20 @@ def run_parallel_pipeline(
     sketch: str = "count-min",
     chunk_size: int = 8192,
 ) -> dict:
-    """Pipelined vs barrier vs thread vs serial on one chunked stream.
+    """Pipelined vs thread vs serial on one chunked stream.
 
     Every mode routes the identical ``int64`` stream with the identical
     partitioner, so merged states, per-shard audits, and query answers
     must agree bit for bit — that equivalence is recorded (and asserted
-    unconditionally by the test).  The timing side separates *route*
-    wall time from *worker* wall time on the barrier pool — its
-    ``ingest()`` only routes and buffers, the pool runs at ``merge()``
-    — which makes the pipelined executor's overlap directly
-    measurable: with real cores its end-to-end wall time must beat
-    route + barrier-worker time, because routing and worker ingest
-    happen concurrently instead of back to back.
+    unconditionally by the test).  The timing side measures the two
+    phases of a back-to-back executor separately: *route* is the
+    thread executor's ``ingest()``, which only routes and buffers;
+    *worker* is each shard's routed payload ingested in-process on a
+    fresh shard, with shard ``i`` assigned to worker ``i % W`` as the
+    pool does and the busiest worker's sum taken.  With real cores
+    the pipelined executor's end-to-end wall time must beat route +
+    worker time, because routing and worker ingest happen
+    concurrently instead of back to back.
     """
     import numpy as np
 
@@ -573,20 +577,31 @@ def run_parallel_pipeline(
     top_items = [int(v) for v in np.bincount(arr).argsort()[-20:]]
 
     modes = {
-        "serial": ("serial", {}),
-        "thread": ("thread", {}),
-        "barrier": ("process", {"pipeline_depth": 0}),
-        "pipelined": ("process", {}),
+        "serial": "serial",
+        "thread": "thread",
+        "pipelined": "process",
     }
+    # Warm-up: the first shared-memory pool in a process boots
+    # multiprocessing's resource tracker, a one-time start-up cost
+    # that the route and worker timers below do not carry either.
+    ShardedRunner.from_registry(
+        sketch, shards, n=n, m=m, epsilon=epsilon, seed=seed,
+        executor="process", chunk_size=chunk_size,
+    ).run(ChunkedStream(arr[:chunk_size]))
     results = {}
-    for mode, (executor, kw) in modes.items():
+    payloads = []
+    for mode, executor in modes.items():
         runner = ShardedRunner.from_registry(
             sketch, shards, n=n, m=m, epsilon=epsilon, seed=seed,
-            executor=executor, chunk_size=chunk_size, **kw,
+            executor=executor, chunk_size=chunk_size,
         )
         start = time.perf_counter()
         runner.ingest(ChunkedStream(arr))
         ingest_seconds = time.perf_counter() - start
+        if mode == "thread":
+            # Routed and buffered, not yet ingested: the per-shard
+            # payloads the worker timing below replays.
+            payloads = [runner._shard_payload(i) for i in range(shards)]
         reports = runner.shard_reports()  # triggers deferred dispatch
         merged = runner.merge()
         total_seconds = time.perf_counter() - start
@@ -609,12 +624,17 @@ def run_parallel_pipeline(
         )
         for mode, row in results.items()
     }
-    # The barrier pool's phases: ingest() = pure routing, merge() =
-    # pool dispatch + restore + reduce.
-    route_seconds = results["barrier"]["ingest_seconds"]
-    barrier_worker_seconds = (
-        results["barrier"]["total_seconds"] - route_seconds
-    )
+    route_seconds = results["thread"]["ingest_seconds"]
+    workers = resolve_workers(shards)
+    worker_busy = [0.0] * workers
+    for index, payload in enumerate(payloads):
+        shard = registry.create(sketch, n=n, m=m, epsilon=epsilon,
+                                seed=seed, tracker=make_tracker("aggregate"))
+        began = time.perf_counter()
+        if payload is not None:
+            shard.process_chunk(payload)
+        worker_busy[index % workers] += time.perf_counter() - began
+    worker_seconds = max(worker_busy)
     return {
         "benchmark": "parallel-pipeline",
         "stream": {"n": n, "m": m, "skew": skew, "seed": seed},
@@ -630,11 +650,12 @@ def run_parallel_pipeline(
         "total_seconds": {
             mode: row["total_seconds"] for mode, row in results.items()
         },
+        "workers": workers,
         "route_seconds": route_seconds,
-        "barrier_worker_seconds": barrier_worker_seconds,
+        "worker_seconds": worker_seconds,
         "pipelined_total_seconds": results["pipelined"]["total_seconds"],
-        "pipelined_overlap_vs_barrier": (
-            (route_seconds + barrier_worker_seconds)
+        "pipelined_overlap": (
+            (route_seconds + worker_seconds)
             / results["pipelined"]["total_seconds"]
         ),
         "identical": identical,
@@ -642,15 +663,15 @@ def run_parallel_pipeline(
 
 
 def format_parallel_pipeline(payload: dict) -> str:
-    """Render the pipelined-vs-barrier comparison as aligned text."""
+    """Render the executor comparison as aligned text."""
     lines = [
         f"Parallel pipeline — {payload['sketch']}, "
         f"{payload['shards']} shards, "
         f"{payload['available_cpus']} usable cpus "
-        f"(route {payload['route_seconds']:.3f}s + barrier workers "
-        f"{payload['barrier_worker_seconds']:.3f}s; pipelined total "
+        f"(route {payload['route_seconds']:.3f}s + workers "
+        f"{payload['worker_seconds']:.3f}s; pipelined total "
         f"{payload['pipelined_total_seconds']:.3f}s, overlap gain "
-        f"{payload['pipelined_overlap_vs_barrier']:.2f}x)",
+        f"{payload['pipelined_overlap']:.2f}x)",
         f"{'mode':>10}{'items/s':>14}{'total s':>10}{'identical':>11}",
     ]
     for mode, rate in payload["items_per_sec"].items():
@@ -796,13 +817,13 @@ def test_parallel_pipeline(save_result):
     for mode, same in payload["identical"].items():
         assert same, (mode, payload)
     # Overlap: with real cores the pipelined executor's end-to-end
-    # wall time must beat route + barrier-worker time (routing and
-    # worker ingest run concurrently, not back to back).  Single-core
+    # wall time must beat route + worker time (routing and worker
+    # ingest run concurrently, not back to back).  Single-core
     # containers and quick mode cannot parallelize CPU-bound work, so
     # there the bench only bounds the pipelining overhead.
     quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
     if payload["available_cpus"] >= 2 and not quick:
-        assert payload["pipelined_overlap_vs_barrier"] > 1.0, payload
+        assert payload["pipelined_overlap"] > 1.0, payload
     else:
         serial_total = payload["total_seconds"]["serial"]
         assert payload["pipelined_total_seconds"] < 4 * serial_total, (

@@ -73,10 +73,7 @@ from repro.query import (
     QueryKind,
     UnsupportedQueryError,
 )
-from repro.runtime.parallel import (
-    DEFAULT_PIPELINE_DEPTH,
-    resolve_start_method,
-)
+from repro.runtime.parallel import resolve_start_method
 from repro.runtime.sharded import ShardedRunner
 from repro.state.algorithm import Sketch
 from repro.state.budget import BudgetReport, WriteBudget
@@ -206,17 +203,12 @@ class Engine:
     executor:
         ``"serial"`` (default), ``"thread"`` (deferred thread pool
         over the live shards — no serialization round trip), or
-        ``"process"`` (the pipelined shared-memory pool when
-        ``pipeline_depth > 0``, the historical barrier pool at
-        ``pipeline_depth=0``).  Results are bit-identical; only the
-        wall-clock changes.
+        ``"process"`` (the pipelined shared-memory pool — workers
+        ingest while the stream is still being routed).  Results are
+        bit-identical; only the wall-clock changes.
     max_workers:
         Pool size cap (``None``: one worker per shard, capped by the
         CPUs the process may run on).
-    pipeline_depth:
-        Ring-buffer slots per shard for the pipelined process
-        executor — how far routing may run ahead of worker ingest
-        before back-pressure blocks; ``0`` selects the barrier pool.
     start_method:
         Explicit ``multiprocessing`` start-method override (``"fork"``
         / ``"forkserver"`` / ``"spawn"``); ``None`` applies the
@@ -244,7 +236,6 @@ class Engine:
         executor: str = "serial",
         max_workers: int | None = None,
         coin_protocol: str | None = None,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         start_method: str | None = None,
     ) -> None:
         self.spec = registry.spec(sketch)
@@ -275,10 +266,6 @@ class Engine:
                 f"cannot use the process executor; use "
                 f"executor='serial' or executor='thread'"
             )
-        if pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0: {pipeline_depth}"
-            )
         if start_method is not None:
             resolve_start_method(start_method)  # validate eagerly
         if shards > 1 and not self.spec.mergeable:
@@ -297,7 +284,6 @@ class Engine:
         self.executor = executor
         self.max_workers = max_workers
         self.coin_protocol = coin_protocol
-        self.pipeline_depth = pipeline_depth
         self.start_method = start_method
         self._merged: Sketch | None = None
 
@@ -459,7 +445,6 @@ class Engine:
             budget_split=budget_split,
             chunk_size=chunk_size,
             coin_protocol=self.coin_protocol,
-            pipeline_depth=self.pipeline_depth,
             start_method=self.start_method,
         )
         if device is not None:
@@ -516,7 +501,6 @@ class Engine:
         budget: WriteBudget | int | None = None,
         budget_split: str = "even",
         chunk_size: int | None = None,
-        snapshot_mode: str = "incremental",
         answer_cache: int = 256,
     ):
         """A :class:`~repro.serve.LiveEngine` with this engine's config.
@@ -547,7 +531,6 @@ class Engine:
             budget=budget,
             budget_split=budget_split,
             chunk_size=chunk_size,
-            snapshot_mode=snapshot_mode,
             answer_cache=answer_cache,
             coin_protocol=self.coin_protocol,
         )

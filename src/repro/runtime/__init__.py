@@ -4,9 +4,8 @@
   stream over ``K`` sketch shards, batch-ingest (serially, on a thread
   pool via ``executor="thread"``, or on the pipelined shared-memory
   process pool via ``executor="process"``), merge-reduce.
-* :mod:`repro.runtime.parallel` — the shard executors: the zero-copy
-  :class:`PipelinedShardPool`, the barrier pool
-  (:func:`run_shard_tasks`), and the shared sizing/start-method
+* :mod:`repro.runtime.parallel` — the process executor: the zero-copy
+  :class:`PipelinedShardPool` and the shared sizing/start-method
   policy.  Worker failures carry shard context as
   :class:`ShardIngestError`.
 * :mod:`repro.runtime.checkpoint` — :class:`Checkpoint`: JSON
@@ -21,7 +20,6 @@ from repro.runtime.parallel import (
     available_cpus,
     resolve_start_method,
     resolve_workers,
-    run_shard_tasks,
 )
 from repro.runtime.sharded import ShardedRunner, ShardedRunResult
 
@@ -35,5 +33,4 @@ __all__ = [
     "available_cpus",
     "resolve_start_method",
     "resolve_workers",
-    "run_shard_tasks",
 ]

@@ -1,7 +1,7 @@
-"""Parallel execution of shard ingest work: pipelined shared-memory
-pool, barrier process pool, and the shared worker-sizing policy.
+"""Parallel execution of shard ingest work: the pipelined
+shared-memory process pool and the worker-sizing policy.
 
-Three pieces live here:
+Two pieces live here:
 
 * :class:`PipelinedShardPool` — the zero-copy pipelined executor.  A
   persistent set of worker processes is fed through per-shard
@@ -9,7 +9,7 @@ Three pieces live here:
   parent, inside :meth:`~repro.runtime.sharded.ShardedRunner.ingest`)
   writes partitioned ``int64`` chunks straight into a shard's shared
   segment while the owning worker ingests earlier chunks concurrently
-  — pipeline overlap instead of the historical route-then-run barrier.
+  — routing and ingest overlap instead of running back to back.
   Only tiny slot descriptors cross a queue; the chunk payloads are
   never pickled.  Workers ingest each slot *in place* (a numpy view of
   the shared segment — no copy on either side) and release the slot's
@@ -20,12 +20,7 @@ Three pieces live here:
   (the expensive half of the merge-reduce) while slower workers are
   still ingesting.
 
-* :func:`run_shard_tasks` — the historical barrier path (one pickled
-  payload per shard, ``pool.map``, results after a full barrier),
-  kept for ``pipeline_depth=0`` and as the bench baseline the overlap
-  is measured against.
-
-* The sizing/start-method policy shared by both:
+* The sizing/start-method policy (shared with the thread executor):
   :func:`available_cpus` respects cgroup quotas and CPU affinity
   (``os.process_cpu_count`` where available, ``sched_getaffinity``
   otherwise — plain ``os.cpu_count`` oversubscribes 1-CPU containers),
@@ -39,7 +34,7 @@ Three pieces live here:
 Worker failures carry their context: any exception inside a worker is
 wrapped in :class:`ShardIngestError` (shard index, items ingested when
 it struck, the original exception, and its formatted traceback), which
-pickles cleanly across the pool boundary.  The parent re-raises the
+pickles cleanly across the process boundary.  The parent re-raises the
 original error *chained* to the shard context — a
 ``policy="raise"`` write-budget abort still surfaces as
 :class:`~repro.state.budget.WriteBudgetExceededError` (the PR-4
@@ -57,7 +52,7 @@ import threading
 import traceback
 from multiprocessing import shared_memory
 from queue import Empty
-from typing import Any, Iterator, Sequence, Union
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -65,19 +60,14 @@ from repro import registry
 from repro.state.budget import WriteBudgetExceededError
 from repro.streams.chunked import DEFAULT_CHUNK_SIZE
 
-#: One shard's work order: ``(shard_index, empty_state, items)``.
-#: Chunk-routed work ships the items as one ``int64`` ndarray (pickled
-#: as a contiguous buffer, not a list of Python ints); scalar-routed
-#: work keeps the historical ``list[int]``.
-ShardTask = tuple[int, dict[str, Any], Union["np.ndarray", list[int]]]
 #: One shard's result: ``(shard_index, ingested_state)``.
 ShardResult = tuple[int, dict[str, Any]]
 
 #: Start methods the override accepts, safest-first.
 START_METHODS = ("fork", "forkserver", "spawn")
 
-#: Default ring-buffer depth: slots per shard the router may run ahead
-#: of the worker.  4 keeps the worker fed across routing hiccups while
+#: Ring-buffer depth: slots per shard the router may run ahead of the
+#: worker.  4 keeps the worker fed across routing hiccups while
 #: bounding the shared segment at ``4 * slot_items * 8`` bytes/shard.
 DEFAULT_PIPELINE_DEPTH = 4
 
@@ -126,7 +116,7 @@ class ShardIngestError(RuntimeError):
     def __reduce__(self):
         # Pickle as constructor arguments (the same treatment
         # WriteBudgetExceededError got): an error that cannot cross
-        # the pool boundary hangs the pool's result handler.
+        # the result queue is lost in transit, context and all.
         return (
             type(self),
             (self.shard_index, self.offset, self.cause,
@@ -242,61 +232,7 @@ def resolve_start_method(override: str | None = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Barrier path (pipeline_depth=0 and the bench baseline)
-# ----------------------------------------------------------------------
-def ingest_shard(task: ShardTask) -> ShardResult:
-    """Worker entry point: rebuild, ingest, snapshot one shard.
-
-    Ndarray payloads ingest through the columnar ``process_chunk``
-    fast path, list payloads through the scalar ``process_many`` loop;
-    the two are bit-identical on the same items, so the executor
-    contract is unchanged.  Module-level (picklable) so it works under
-    every start method.  Failures leave as :class:`ShardIngestError`
-    with the shard context attached.
-    """
-    index, state, items = task
-    sketch_cls = registry.sketch_class(state["algorithm"])
-    shard = sketch_cls.from_state(state)
-    try:
-        if isinstance(items, np.ndarray):
-            shard.process_chunk(items)
-        else:
-            shard.process_many(items)
-    except Exception as error:
-        raise wrap_shard_error(index, shard, error) from error
-    return index, shard.to_state()
-
-
-def run_shard_tasks(
-    tasks: Sequence[ShardTask],
-    max_workers: int | None = None,
-    start_method: str | None = None,
-) -> list[ShardResult]:
-    """Execute shard tasks on a barrier process pool; preserves order.
-
-    A single task (or an explicit ``max_workers=1``) short-circuits to
-    in-process execution — same code path as the workers run, without
-    pool start-up or pickling overhead.  Worker failures re-raise via
-    :func:`reraise_shard_error`: budget aborts keep their type, other
-    faults surface as :class:`ShardIngestError`.
-    """
-    if not tasks:
-        return []
-    workers = resolve_workers(len(tasks), max_workers)
-    try:
-        if len(tasks) == 1 or workers == 1:
-            return [ingest_shard(task) for task in tasks]
-        context = multiprocessing.get_context(
-            resolve_start_method(start_method)
-        )
-        with context.Pool(processes=workers) as pool:
-            return pool.map(ingest_shard, tasks)
-    except ShardIngestError as error:
-        reraise_shard_error(error)
-
-
-# ----------------------------------------------------------------------
-# Pipelined shared-memory pool (the default process executor)
+# Pipelined shared-memory pool (the process executor)
 # ----------------------------------------------------------------------
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to a parent-owned segment without tracking it twice.
@@ -396,9 +332,10 @@ class PipelinedShardPool:
         ``(shard_index, empty_state)`` for every shard; shard ``i`` is
         owned by worker ``i % workers``.
     slot_items:
-        ``int64`` capacity of one ring slot; larger routed parts are
-        split across consecutive slots (chunk-boundary invariance makes
-        the split bit-neutral).
+        ``int64`` capacity of one ring slot, and so the size of the
+        chunks workers ingest: routed parts are packed into slots back
+        to back (chunk-boundary invariance makes re-slicing
+        bit-neutral).
     depth:
         Slots per shard ring — how far the router may run ahead of the
         worker before back-pressure blocks it.
@@ -433,6 +370,8 @@ class PipelinedShardPool:
         self._views: dict[int, np.ndarray] = {}
         self._free_slots: dict[int, Any] = {}
         self._next_slot: dict[int, int] = {}
+        # Per shard, the slot the router is still filling: (slot, fill).
+        self._open_slot: dict[int, tuple[int, int]] = {}
         self._owner: dict[int, int] = {}
         self._result_queue = context.Queue()
         self._failed_event = context.Event()
@@ -497,26 +436,40 @@ class PipelinedShardPool:
     # Routing side
     # ------------------------------------------------------------------
     def submit(self, index: int, part: np.ndarray) -> None:
-        """Write one routed part into shard ``index``'s ring.
+        """Append one routed part to shard ``index``'s ring.
 
-        Parts larger than a slot are split across consecutive slots
-        (bit-neutral: per-shard ingest is chunk-boundary invariant).
-        Blocks on the shard's back-pressure semaphore when the ring is
-        full; a worker failure turns the wait into the worker's
-        re-raised error instead of a deadlock.
+        Parts are packed back to back: a slot goes to the worker only
+        once it is full (or at :meth:`finish`), so the worker ingests
+        slot-sized chunks however finely routing split the stream, and
+        a large part spans consecutive slots.  Both are bit-neutral:
+        per-shard ingest is chunk-boundary invariant.  Blocks on the
+        shard's back-pressure semaphore when the ring is full; a
+        worker failure turns the wait into the worker's re-raised
+        error instead of a deadlock.
         """
         slot_items = self._slot_items
         view = self._views[index]
-        for low in range(0, len(part), slot_items):
-            piece = part[low:low + slot_items]
-            self._acquire_slot(index)
-            slot = self._next_slot[index]
-            self._next_slot[index] = (slot + 1) % self._depth
-            start = slot * slot_items
-            view[start:start + len(piece)] = piece
-            self._task_queues[self._owner[index]].put(
-                (index, slot, len(piece))
-            )
+        low = 0
+        while low < len(part):
+            if index in self._open_slot:
+                slot, fill = self._open_slot.pop(index)
+            else:
+                self._acquire_slot(index)
+                slot, fill = self._next_slot[index], 0
+                self._next_slot[index] = (slot + 1) % self._depth
+            take = min(len(part) - low, slot_items - fill)
+            start = slot * slot_items + fill
+            view[start:start + take] = part[low:low + take]
+            low += take
+            fill += take
+            if fill == slot_items:
+                self._dispatch(index, slot, fill)
+            else:
+                self._open_slot[index] = (slot, fill)
+
+    def _dispatch(self, index: int, slot: int, length: int) -> None:
+        """Hand a filled slot to the worker that owns the shard."""
+        self._task_queues[self._owner[index]].put((index, slot, length))
 
     def _acquire_slot(self, index: int) -> None:
         while not self._free_slots[index].acquire(timeout=0.1):
@@ -566,6 +519,9 @@ class PipelinedShardPool:
         shuts down and unlinks its segments.
         """
         try:
+            for index, (slot, fill) in self._open_slot.items():
+                self._dispatch(index, slot, fill)
+            self._open_slot.clear()
             for queue in self._task_queues:
                 queue.put(None)
             done = 0

@@ -55,18 +55,16 @@ Three executors decide *where* the per-shard ingest runs:
   use it), and the numpy-dominated ``process_chunk`` kernels release
   the GIL for much of their work — on free-threaded builds the
   overlap is full.
-* ``"process"`` — the default ``pipeline_depth > 0`` runs the
-  zero-copy pipelined pool (:class:`~repro.runtime.parallel.
-  PipelinedShardPool`): persistent workers are rebuilt once from each
-  shard's empty snapshot, the router writes partitioned ``int64``
-  chunks straight into per-shard shared-memory ring buffers *while*
-  workers ingest earlier chunks, and at end-of-stream the ingested
-  states stream back incrementally for restoration.
-  ``pipeline_depth=0`` keeps the historical barrier pool: routed
-  items are buffered per shard, shipped as one pickled payload each to
-  a ``pool.map``, and restored after a full barrier.  Either way the
-  results — merged payload, answers, and the full audit — are
-  bit-identical to serial mode; only the wall-clock changes.
+* ``"process"`` — the zero-copy pipelined pool
+  (:class:`~repro.runtime.parallel.PipelinedShardPool`): persistent
+  workers are rebuilt once from each shard's empty snapshot, the
+  router writes partitioned ``int64`` chunks straight into per-shard
+  shared-memory ring buffers *while* workers ingest earlier chunks,
+  and at end-of-stream the ingested states stream back incrementally
+  for restoration.
+
+Every executor is bit-identical to serial mode — merged payload,
+answers, and the full audit; only the wall-clock changes.
 
 A worker failure aborts the run with its shard context
 (:class:`~repro.runtime.parallel.ShardIngestError`; ``policy="raise"``
@@ -77,7 +75,6 @@ partial results.
 
 from __future__ import annotations
 
-import copy
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -88,13 +85,11 @@ import numpy as np
 from repro import registry
 from repro.hashing.prime_field import KWiseHash
 from repro.runtime.parallel import (
-    DEFAULT_PIPELINE_DEPTH,
     PipelinedShardPool,
     ShardIngestError,
     reraise_shard_error,
     resolve_start_method,
     resolve_workers,
-    run_shard_tasks,
     wrap_shard_error,
 )
 from repro.state.algorithm import NotMergeableError, Sketch
@@ -113,7 +108,6 @@ ShardFactory = Callable[[int], Sketch]
 
 _PARTITIONS = ("hash", "round-robin")
 _EXECUTORS = ("serial", "thread", "process")
-_SNAPSHOT_MODES = ("incremental", "full")
 
 #: One leaf of a snapshot cut: the shard's ingest-epoch key plus an
 #: immutable-by-convention private copy of the shard at that epoch.
@@ -194,24 +188,22 @@ class ShardedRunner:
         Seeds the partitioning hash (independent of the sketch seeds).
     batch_size:
         Items buffered per shard before a ``process_many`` flush
-        (serial executor only; the process executor ships each shard's
-        full buffer in one task).
+        (serial executor; the process executor flushes the same
+        batches into its rings, the thread executor buffers everything
+        until dispatch).
     executor:
         ``"serial"`` (default) ingests in-process; ``"thread"``
         buffers routed work and ingests the live shards on a thread
         pool at the first observation (reports, merge, or
         :meth:`run`); ``"process"`` runs the pipelined shared-memory
-        pool (``pipeline_depth > 0``, workers ingest concurrently with
-        routing) or the historical barrier pool (``pipeline_depth=0``).
-        The process executor requires a serializable sketch; every
-        executor is bit-identical to serial mode.
+        pool (workers ingest concurrently with routing, through
+        :data:`~repro.runtime.parallel.DEFAULT_PIPELINE_DEPTH` ring
+        slots per shard).  The process executor requires a
+        serializable sketch; every executor is bit-identical to serial
+        mode.
     max_workers:
         Pool size cap (``None``: one worker per shard, capped by the
         CPUs the process may run on).
-    pipeline_depth:
-        Ring-buffer slots per shard for the pipelined process
-        executor — how far routing may run ahead of ingest before
-        back-pressure blocks.  ``0`` selects the barrier pool.
     start_method:
         Explicit ``multiprocessing`` start-method override
         (``"fork"``/``"forkserver"``/``"spawn"``); ``None`` applies
@@ -229,9 +221,7 @@ class ShardedRunner:
         executor: str = "serial",
         max_workers: int | None = None,
         chunk_size: int | None = None,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         start_method: str | None = None,
-        snapshot_mode: str = "incremental",
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"need at least one shard: {num_shards}")
@@ -243,19 +233,10 @@ class ShardedRunner:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {_EXECUTORS}"
             )
-        if snapshot_mode not in _SNAPSHOT_MODES:
-            raise ValueError(
-                f"unknown snapshot_mode {snapshot_mode!r}; choose from "
-                f"{_SNAPSHOT_MODES}"
-            )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
-        if pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0: {pipeline_depth}"
-            )
         if start_method is not None:
             resolve_start_method(start_method)  # validate eagerly
         self.num_shards = num_shards
@@ -264,9 +245,7 @@ class ShardedRunner:
         self.max_workers = max_workers
         self.batch_size = batch_size
         self.chunk_size = chunk_size
-        self.pipeline_depth = pipeline_depth
         self.start_method = start_method
-        self.snapshot_mode = snapshot_mode
         self._shards: list[Sketch] = [factory(i) for i in range(num_shards)]
         trackers = {id(shard.tracker) for shard in self._shards}
         if len(trackers) != num_shards:
@@ -283,7 +262,7 @@ class ShardedRunner:
         self._route = KWiseHash(2, seed=seed + 0x5A5A)
         self._cursor = 0  # round-robin position
         self._buffers: list[list[int]] = [[] for _ in range(num_shards)]
-        # Routed ndarray chunks awaiting the pool (process executor).
+        # Routed ndarray chunks awaiting dispatch (thread executor).
         self._chunk_buffers: list[list[np.ndarray]] = [
             [] for _ in range(num_shards)
         ]
@@ -311,7 +290,6 @@ class ShardedRunner:
             "leaves_reused": 0,
             "nodes_built": 0,
             "nodes_reused": 0,
-            "full_rebuilds": 0,
         }
 
     @classmethod
@@ -332,9 +310,7 @@ class ShardedRunner:
         budget_split: str = "even",
         chunk_size: int | None = None,
         coin_protocol: str | None = None,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         start_method: str | None = None,
-        snapshot_mode: str = "incremental",
     ) -> "ShardedRunner":
         """Runner whose shards come from :mod:`repro.registry`.
 
@@ -374,9 +350,7 @@ class ShardedRunner:
             executor=executor,
             max_workers=max_workers,
             chunk_size=chunk_size,
-            pipeline_depth=pipeline_depth,
             start_method=start_method,
-            snapshot_mode=snapshot_mode,
         )
 
     # ------------------------------------------------------------------
@@ -403,7 +377,7 @@ class ShardedRunner:
     @property
     def _pipelined(self) -> bool:
         """Whether this runner streams work into the pipelined pool."""
-        return self.executor == "process" and self.pipeline_depth > 0
+        return self.executor == "process"
 
     def ingest(self, stream: Iterable[int]) -> int:
         """Route ``stream`` to the shards; returns items consumed.
@@ -420,9 +394,8 @@ class ShardedRunner:
         ingests as it routes; the pipelined process executor writes
         each routed part into the shard's shared-memory ring (workers
         ingest concurrently — the overlap is the point); the thread
-        and barrier-process executors only buffer, and the buffered
-        work runs at the first observation (reports, merge, or
-        :meth:`run`).
+        executor only buffers, and the buffered work runs at the first
+        observation (reports, merge, or :meth:`run`).
         """
         self._check_ingestable()
         chunks = getattr(stream, "chunks", None)
@@ -434,7 +407,7 @@ class ShardedRunner:
             )
         buffers = self._buffers
         count = 0
-        if self.executor in ("thread", "process") and not self._pipelined:
+        if self.executor == "thread":
             shard_items = self._shard_items
             for item in stream:
                 shard = self._next_shard(item)
@@ -522,8 +495,8 @@ class ShardedRunner:
             self._flush(shard)
             self._shard_items[shard] += len(part)
             self._pool_submit(shard, part)
-        elif self.executor in ("thread", "process"):
-            # Deferred executors: freeze any scalar-buffered items (they
+        elif self.executor == "thread":
+            # Deferred executor: freeze any scalar-buffered items (they
             # precede this chunk in stream order) into the chunk queue.
             pending = self._buffers[shard]
             if pending:
@@ -557,8 +530,8 @@ class ShardedRunner:
         """Hand one routed part to the pipelined pool (started lazily).
 
         The pool launches at the first routed part — workers rebuild
-        from each shard's *empty* snapshot and then ingest everything,
-        exactly like the barrier path, but concurrently with routing.
+        from each shard's *empty* snapshot and then ingest everything
+        concurrently with routing.
         Any failure (a worker fault surfacing through back-pressure, a
         non-serializable shard at pool start) latches the runner as
         failed before propagating.
@@ -568,7 +541,6 @@ class ShardedRunner:
                 self._pipeline = PipelinedShardPool(
                     [(i, s.to_state()) for i, s in enumerate(self._shards)],
                     slot_items=self.chunk_size or DEFAULT_CHUNK_SIZE,
-                    depth=self.pipeline_depth,
                     max_workers=self.max_workers,
                     start_method=self.start_method,
                 )
@@ -580,10 +552,9 @@ class ShardedRunner:
     def _shard_payload(self, index: int):
         """A shard's buffered work in stream order, or None when empty.
 
-        Chunk-routed shards ship one concatenated ``int64`` ndarray
-        (the pickle of an array, not a list of Python ints) that the
-        executor ingests via ``process_chunk``; purely scalar-routed
-        shards keep the historical ``list[int]`` payload and the
+        Chunk-routed shards yield one concatenated ``int64`` ndarray
+        that the thread executor ingests via ``process_chunk``; purely
+        scalar-routed shards keep the ``list[int]`` payload and the
         ``process_many`` path.
         """
         chunked = self._chunk_buffers[index]
@@ -605,9 +576,7 @@ class ShardedRunner:
         Pipelined process runs: signal end-of-stream and restore the
         ingested states incrementally as workers report (a fast
         worker's ``from_state`` restoration overlaps a slow worker's
-        tail).  Barrier process runs: each non-empty shard becomes one
-        ``(index, empty_state, payload)`` task for ``pool.map``.
-        Thread runs: a thread pool ingests the buffered payloads into
+        tail).  Thread runs: a thread pool ingests the buffered payloads into
         the *live* shard objects — no serialization round trip at all.
         Shards that received no items keep their local (empty)
         instances in every mode, matching serial bit for bit.  Any
@@ -619,10 +588,8 @@ class ShardedRunner:
         try:
             if self.executor == "thread":
                 self._execute_threads()
-            elif self._pipelined:
-                self._drain_pipeline()
             else:
-                self._execute_barrier()
+                self._drain_pipeline()
         except BaseException as error:
             self._fail(error)
             raise
@@ -636,7 +603,7 @@ class ShardedRunner:
         for much of their work, so chunk-routed shards genuinely
         overlap; scalar payloads serialize on the GIL but still get
         the deferred-execution semantics.  Worker errors carry shard
-        context exactly like the process executors.
+        context exactly like the process executor.
         """
         payloads = [
             (index, payload)
@@ -681,39 +648,9 @@ class ShardedRunner:
         finally:
             pool.close()
 
-    def _execute_barrier(self) -> None:
-        """Historical route-then-run pool (``pipeline_depth=0``)."""
-        tasks = []
-        for index in range(self.num_shards):
-            payload = self._shard_payload(index)
-            if payload is not None:
-                tasks.append(
-                    (index, self._shards[index].to_state(), payload)
-                )
-        for index, state in run_shard_tasks(
-            tasks, self.max_workers, start_method=self.start_method
-        ):
-            sketch_cls = registry.sketch_class(state["algorithm"])
-            self._shards[index] = sketch_cls.from_state(state)
-
     # ------------------------------------------------------------------
     # Reduce
     # ------------------------------------------------------------------
-    @staticmethod
-    def _copy_shard(shard: Sketch) -> Sketch:
-        """An exact private copy of a shard (payload, audit, RNG).
-
-        Serializable families round-trip through
-        ``to_state``/``from_state`` — the exactness contract the
-        checkpoint and process-executor tests already pin down, which
-        also drops any attached write listeners (a snapshot must not
-        replay wear callbacks).  Families without the state hooks are
-        deep-copied instead; both routes leave the original untouched.
-        """
-        if type(shard)._config_state is not Sketch._config_state:
-            return type(shard).from_state(shard.to_state())
-        return copy.deepcopy(shard)
-
     def _clear_snapshot_caches(self) -> None:
         """Drop every memoized leaf clone and merge-tree node."""
         self._leaf_cache = [None] * self.num_shards
@@ -771,13 +708,6 @@ class ShardedRunner:
             self._flush(shard)
         stats = self._snap_stats
         stats["cuts_taken"] += 1
-        if self.snapshot_mode == "full":
-            # Reference path: fresh serialization round trips, no
-            # caches — what the equivalence sweep compares against.
-            return [
-                (self._leaf_key(i, shard), self._copy_shard(shard))
-                for i, shard in enumerate(self._shards)
-            ]
         cut: SnapshotCut = []
         for i, shard in enumerate(self._shards):
             key = self._leaf_key(i, shard)
@@ -795,7 +725,7 @@ class ShardedRunner:
         """Reduce a :meth:`snapshot_cut` into a caller-owned merged
         sketch; safe to run outside the caller's ingest lock.
 
-        Incremental mode runs the memoized reduction: internal nodes
+        The reduction is memoized: internal nodes
         of the merge tree are cached keyed by the concatenation of
         their leaves' epoch keys, so a cut where only ``k`` of ``S``
         shards advanced re-merges only those leaves' root paths —
@@ -805,21 +735,7 @@ class ShardedRunner:
         right operand), and an internal lock serializes concurrent
         reductions over the shared cache.  The returned root is always
         a private clone, so repeated snapshots never alias.
-
-        Full mode reduces the cut's fresh copies in place — the
-        historical code path, byte for byte.
         """
-        if self.snapshot_mode == "full":
-            self._snap_stats["full_rebuilds"] += 1
-            level = [sketch for _, sketch in cut]
-            while len(level) > 1:
-                merged_level = []
-                for i in range(0, len(level) - 1, 2):
-                    merged_level.append(level[i].merge(level[i + 1]))
-                if len(level) % 2:
-                    merged_level.append(level[-1])
-                level = merged_level
-            return level[0]
         with self._merge_lock:
             stats = self._snap_stats
             entries = [((key,), sketch) for key, sketch in cut]
@@ -855,9 +771,8 @@ class ShardedRunner:
         """Counters of the incremental snapshot plane.
 
         ``cuts_taken`` snapshots so far; per cut, how many leaves were
-        freshly cloned vs reused from cache, how many merge-tree nodes
-        were rebuilt vs served memoized, and how many full (reference
-        mode) rebuilds ran.
+        freshly cloned vs reused from cache, and how many merge-tree
+        nodes were rebuilt vs served memoized.
         """
         return dict(self._snap_stats)
 
@@ -875,13 +790,10 @@ class ShardedRunner:
         and per-shard ingest are deterministic — to a fresh batch run
         over the same stream prefix.
 
-        The default ``snapshot_mode="incremental"`` serves the reduce
-        through the memoized merge tree (see :meth:`merged_from_cut`):
-        a snapshot where only ``k`` of ``S`` shards ingested since the
-        last one costs ``k`` leaf clones and ``O(k log S)`` merges.
-        ``snapshot_mode="full"`` keeps the historical rebuild-
-        everything path — the reference the equivalence tests sweep
-        the incremental plane against.
+        The reduce runs through the memoized merge tree (see
+        :meth:`merged_from_cut`): a snapshot where only ``k`` of ``S``
+        shards ingested since the last one costs ``k`` leaf clones and
+        ``O(k log S)`` merges.
 
         This is the primitive the live serving engine
         (:class:`repro.serve.LiveEngine`) answers queries through.

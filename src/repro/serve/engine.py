@@ -15,9 +15,8 @@ boundary, the engine captures a consistent shard *cut* under the
 ingest lock, then — after the lock is released — merges it into a
 fresh :class:`LiveSnapshot` and notifies every subscribed collector
 (:mod:`repro.serve.collectors`).  The merge rides the runner's
-memoized merge tree (``snapshot_mode="incremental"``), so a refresh
-with one dirty shard out of ``S`` re-merges only that shard's path to
-the root.  Because the cut points are
+memoized merge tree, so a refresh with one dirty shard out of ``S``
+re-merges only that shard's path to the root.  Because the cut points are
 update-index-aligned — the same chunk-offset arithmetic the checkpoint
 machinery uses — the snapshot taken at index ``k`` is bit-identical to
 a fresh batch run over the first ``k`` updates, regardless of how the
@@ -253,12 +252,6 @@ class LiveEngine:
         Columnar routing chunk size (``None``: the stream's own).
     coin_protocol:
         Coin protocol override for the randomized families.
-    snapshot_mode:
-        ``"incremental"`` (default) memoizes the runner's merge tree
-        across refreshes — only shards that ingested since the last
-        cut are re-cloned and re-merged; ``"full"`` rebuilds every
-        snapshot from scratch (the reference path).  Both produce
-        bit-identical snapshots.
     answer_cache:
         Capacity of the snapshot-keyed answer cache (entries); ``0``
         disables caching.  Safe at any size — answers are pure
@@ -282,7 +275,6 @@ class LiveEngine:
         budget_split: str = "even",
         chunk_size: int | None = None,
         coin_protocol: str | None = None,
-        snapshot_mode: str = "incremental",
         answer_cache: int = 256,
     ) -> None:
         self.spec = registry.spec(sketch)  # raises on unknown names
@@ -328,13 +320,11 @@ class LiveEngine:
             budget_split=budget_split,
             chunk_size=chunk_size,
             coin_protocol=coin_protocol,
-            snapshot_mode=snapshot_mode,
         )
         if answer_cache < 0:
             raise ValueError(
                 f"answer_cache must be >= 0: {answer_cache}"
             )
-        self.snapshot_mode = self._runner.snapshot_mode
         self._lock = threading.RLock()
         self._ingested = 0
         self._snapshot: LiveSnapshot | None = None
@@ -757,7 +747,7 @@ class LiveEngine:
         plane exists to shrink; ``append_lock_held_ms`` is total time
         spent inside it).  Runner-side (``snapshot_*``): the memoized
         merge-tree counters — leaves cloned vs reused, internal nodes
-        built vs reused, and full rebuilds.
+        built vs reused.
         """
         with self._lock:
             refresh_count = self._refresh_count
@@ -770,7 +760,6 @@ class LiveEngine:
                 "head": self._ingested,
                 "snapshot_index": self.snapshot_index,
                 "snapshots_taken": self._snapshots_taken,
-                "snapshot_mode": self.snapshot_mode,
                 "refresh_count": refresh_count,
                 "refresh_last_ms": self._refresh_last_s * 1000.0,
                 "refresh_mean_ms": mean_ms,

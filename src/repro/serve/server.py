@@ -70,12 +70,26 @@ class ProtocolError(ValueError):
     """A request the protocol cannot serve (bad verb, missing field)."""
 
 
+def _item_list(request: dict[str, Any], verb: str) -> list[int]:
+    """The request's ``items`` field, checked to be a list of items.
+
+    Items are exact ints: ``type(x) is int`` rejects JSON ``true`` /
+    ``false``, which decode to ``bool``, an ``int`` subclass.
+    """
+    items = request.get("items")
+    if not isinstance(items, list) or not all(
+        type(item) is int for item in items
+    ):
+        raise ProtocolError(f"{verb} needs an 'items' list of integers")
+    return items
+
+
 def _build_query(request: dict[str, Any]) -> Query:
     """Typed query from a request's ``kind`` + parameter fields."""
     kind = request.get("kind")
     if kind == str(QueryKind.POINT):
         item = request.get("item")
-        if not isinstance(item, int):
+        if type(item) is not int:  # exact int, as in _item_list
             raise ProtocolError(
                 "point queries need an integer 'item' field"
             )
@@ -168,6 +182,9 @@ class LiveSession:
             ValueError,
             TypeError,
             KeyError,
+            # Items outside the int64 data plane (e.g. 2**63) fail the
+            # columnar conversion; the request is refused whole.
+            OverflowError,
         ) as error:
             return {"ok": False, "error": str(error)}, True
 
@@ -184,14 +201,7 @@ class LiveSession:
     # Verbs
     # ------------------------------------------------------------------
     def _op_append(self, request: dict) -> tuple[dict, bool]:
-        items = request.get("items")
-        if not isinstance(items, list) or not all(
-            isinstance(item, int) for item in items
-        ):
-            raise ProtocolError(
-                "append needs an 'items' list of integers"
-            )
-        appended = self.engine.append(items)
+        appended = self.engine.append(_item_list(request, "append"))
         return (
             {"ok": True, "appended": appended, "head": self.engine.head},
             True,
@@ -214,13 +224,7 @@ class LiveSession:
         return response, True
 
     def _op_query_batch(self, request: dict) -> tuple[dict, bool]:
-        items = request.get("items")
-        if not isinstance(items, list) or not all(
-            isinstance(item, int) for item in items
-        ):
-            raise ProtocolError(
-                "query-batch needs an 'items' list of integers"
-            )
+        items = _item_list(request, "query-batch")
         max_staleness = request.get("max_staleness")
         live = self.engine.query_batch(
             items,

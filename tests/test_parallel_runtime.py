@@ -16,7 +16,7 @@ import pytest
 
 from repro import registry
 from repro.api import Engine
-from repro.runtime.parallel import ingest_shard, resolve_workers
+from repro.runtime.parallel import resolve_workers
 from repro.runtime.sharded import ShardedRunner
 from repro.state.algorithm import NotSerializableError
 from repro.streams import zipf_stream
@@ -131,15 +131,17 @@ class TestProcessExecutorBehaviour:
         # The same family is fine on the serial executor.
         assert Engine("heavy-hitters", executor="serial")
 
-    def test_worker_entry_point_round_trips(self):
-        # The worker function itself, exercised in-process: it must
-        # return a state equal to what local ingestion produces.
+    def test_worker_round_trip(self):
+        # The worker's serialization round trip, exercised in-process:
+        # rebuild from the empty snapshot, ingest, snapshot, restore —
+        # the state must equal what local ingestion produces.
         shard = registry.create("count-min", n=64, m=256, seed=5)
-        index, state = ingest_shard((3, shard.to_state(), [1, 2, 2, 7]))
+        worker = type(shard).from_state(shard.to_state())
+        worker.process_many([1, 2, 2, 7])
+        restored = type(shard).from_state(worker.to_state())
         local = registry.create("count-min", n=64, m=256, seed=5)
         local.process_many([1, 2, 2, 7])
-        assert index == 3
-        assert state == local.to_state()
+        assert restored.to_state() == local.to_state()
 
     def test_resolve_workers(self):
         assert resolve_workers(4, max_workers=2) == 2

@@ -1,10 +1,9 @@
 """The pipelined shared-memory executor and the parallel bug burn-down.
 
-Four executors now exist — serial, thread, barrier process
-(``pipeline_depth=0``), and pipelined process — and the contract is
-unchanged from PRs 3/5: executors change wall-clock time, never
-results.  These tests pin that down over chunked (columnar) streams,
-both coin protocols, mid-chunk budget cutover, and checkpoint
+Three executors exist — serial, thread, and the pipelined process
+pool — and the contract is that executors change wall-clock time,
+never results.  These tests pin that down over chunked (columnar)
+streams, both coin protocols, mid-chunk budget cutover, and checkpoint
 round-trips, plus the failure contract (shard context on worker
 errors, no silently merged partial results, no leaked shared-memory
 segments) and the container-aware sizing / fork-safety policies.
@@ -42,10 +41,9 @@ N, M = 512, 6000
 #: (executor, extra runner kwargs) for every non-serial mode.
 MODES = [
     ("thread", {}),
-    ("process", {"pipeline_depth": 0}),
-    ("process", {"pipeline_depth": 3}),
+    ("process", {}),
 ]
-MODE_IDS = ["thread", "barrier", "pipelined"]
+MODE_IDS = ["thread", "pipelined"]
 
 
 @pytest.fixture(scope="module")
@@ -108,19 +106,29 @@ class TestChunkedGoldenEquivalence:
     def test_tight_ring_backpressure_is_bit_neutral(self, arr):
         # depth=1 with a tiny slot: every submit wraps the ring and
         # blocks on the worker — maximum back-pressure, same bits.
-        pipelined = ShardedRunner.from_registry(
-            "count-min", 3, n=N, m=M, epsilon=0.5, seed=11,
-            executor="process", max_workers=2,
-            pipeline_depth=1, chunk_size=256,
-        ).run(ChunkedStream(arr))
-        serial = ShardedRunner.from_registry(
-            "count-min", 3, n=N, m=M, epsilon=0.5, seed=11,
-            chunk_size=256,
-        ).run(ChunkedStream(arr))
-        assert canonical(pipelined.merged) == canonical(serial.merged)
+        def fresh():
+            return registry.create(
+                "count-min", n=N, m=M, epsilon=0.5, seed=11
+            )
+
+        pool = PipelinedShardPool(
+            [(index, fresh().to_state()) for index in range(3)],
+            slot_items=256, depth=1, max_workers=2,
+        )
+        # 333-item parts overflow a 256-item slot, so each one also
+        # splits across consecutive slots.
+        for low in range(0, len(arr), 999):
+            for index in range(3):
+                pool.submit(index, arr[low + index:low + 999:3])
+        states = dict(pool.finish())
+        for index in range(3):
+            serial = fresh()
+            serial.process_chunk(arr[index::3])
+            restored = type(serial).from_state(states[index])
+            assert canonical(restored) == canonical(serial)
 
     def test_multiple_ingest_calls_share_one_pipeline(self, arr):
-        runner = make_runner("count-min", "process", pipeline_depth=2)
+        runner = make_runner("count-min", "process")
         runner.ingest(arr[:2500])
         runner.ingest(arr[2500:])
         merged = runner.merge()
@@ -159,7 +167,7 @@ class TestChunkedGoldenEquivalence:
             assert other.audit == serial.audit
 
     def test_checkpoint_round_trip_from_pipelined_merge(self, arr):
-        merged = make_runner("kmv", "process", pipeline_depth=2).run(
+        merged = make_runner("kmv", "process").run(
             ChunkedStream(arr)
         ).merged
         restored = Checkpoint.loads(Checkpoint.dumps(merged))
@@ -249,8 +257,7 @@ class TestFaultPaths:
         cls = registry.spec("count-min").cls
         monkeypatch.setattr(cls, "process_chunk", self._boom)
         runner = make_runner(
-            "count-min", "process", pipeline_depth=2,
-            start_method="fork",
+            "count-min", "process", start_method="fork",
         )
         with pytest.raises(ShardIngestError) as excinfo:
             runner.ingest(arr)
@@ -268,8 +275,7 @@ class TestFaultPaths:
     def test_budget_abort_leaves_no_segments(self, arr):
         before = shm_segments()
         runner = make_runner(
-            "count-min", "process", pipeline_depth=2,
-            budget=WriteBudget(60, "raise"),
+            "count-min", "process", budget=WriteBudget(60, "raise"),
         )
         with pytest.raises(WriteBudgetExceededError):
             runner.ingest(arr)
@@ -278,7 +284,7 @@ class TestFaultPaths:
 
     def test_successful_run_leaves_no_segments(self, arr):
         before = shm_segments()
-        make_runner("count-min", "process", pipeline_depth=2).run(
+        make_runner("count-min", "process").run(
             ChunkedStream(arr[:2000])
         )
         assert shm_segments() <= before
@@ -384,8 +390,7 @@ class TestStartMethodPolicy:
             pytest.skip(f"{method} unavailable")
         result = ShardedRunner.from_registry(
             "count-min", 2, n=N, m=M, epsilon=0.5, seed=6,
-            executor="process", max_workers=2, pipeline_depth=2,
-            start_method=method,
+            executor="process", max_workers=2, start_method=method,
         ).run(ChunkedStream(arr[:2000]))
         serial = ShardedRunner.from_registry(
             "count-min", 2, n=N, m=M, epsilon=0.5, seed=6,
@@ -405,12 +410,12 @@ class TestCliFlags:
         ]) == 0
         assert "count-min" in capsys.readouterr().out
 
-    def test_run_accepts_pipeline_depth(self, capsys):
+    def test_run_accepts_process_executor(self, capsys):
         from repro.cli import main
 
         assert main([
             "run", "--algorithm", "count-min", "--workload", "zipf",
             "--shards", "2", "--executor", "process",
-            "--pipeline-depth", "2", "--n", "64", "--m", "500",
+            "--n", "64", "--m", "500",
         ]) == 0
         assert "count-min" in capsys.readouterr().out

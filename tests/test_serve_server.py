@@ -17,6 +17,8 @@ import subprocess
 import sys
 import threading
 
+import pytest
+
 from repro.serve import LiveEngine, LiveServer, LiveSession, serve
 from repro.serve.server import request
 from repro.streams import zipf_stream
@@ -199,6 +201,42 @@ class TestLiveSessionErrors:
         session = make_session()
         self.error(session, {"op": "append", "items": "nope"})
         assert ok(session, {"op": "append", "items": [1]})["head"] == 1
+
+    @pytest.mark.parametrize("sketch", ["count-min", "misra-gries"])
+    @pytest.mark.parametrize("item", [2**63, -(2**63) - 1])
+    def test_oversized_items_answer_in_band(self, sketch, item):
+        # Items outside int64 cannot enter the columnar data plane; no
+        # verb may let the conversion error escape handle().
+        session = LiveSession(
+            LiveEngine(sketch, n=N, seed=1, snapshot_every=256)
+        )
+        ok(session, {"op": "append", "items": [1, 2, 3]})
+        self.error(session, {"op": "append", "items": [4, item]})
+        assert session.engine.head == 3  # refused whole, no prefix
+        for req in (
+            {"op": "query-batch", "items": [1, item]},
+            {"op": "query", "kind": "point", "item": item},
+        ):
+            response, alive = session.handle(req)
+            assert alive and response["ok"] in (True, False), response
+        answer = ok(session, {"op": "query", "kind": "point", "item": 1})
+        assert answer["value"] >= 1
+
+    @pytest.mark.parametrize(
+        "req",
+        [
+            {"op": "append", "items": [True, False]},
+            {"op": "query-batch", "items": [1, True]},
+            {"op": "query", "kind": "point", "item": True},
+        ],
+        ids=["append", "query-batch", "query"],
+    )
+    def test_boolean_items_rejected(self, req):
+        # JSON true/false decode to bool, an int subclass; they are
+        # not stream items.
+        session = make_session()
+        assert "integer" in self.error(session, req)
+        assert session.engine.head == 0
 
 
 class TestSocketServer:

@@ -3,9 +3,10 @@ off-lock serving refresh.
 
 The non-negotiable contract under test: an **incremental** snapshot
 (memoized merge tree over ``Sketch.clone()`` leaf copies) is
-bit-identical — payload, answers, audit — to a **full** rebuild
-(serialization-round-trip copies, reduced from scratch) and to a
-**fresh batch run** over the same stream prefix.  Hypothesis sweeps
+bit-identical — payload, answers, audit — to the **reference reduce**
+of :mod:`snapshot_oracle` (serialization-round-trip copies, reduced
+from scratch) and to a **fresh batch run** over the same stream
+prefix.  Hypothesis sweeps
 the equivalence over every mergeable family, both coin protocols for
 the randomized families, all tracker backends including budget
 freeze/degrade, and checkpoint-resumed runners.
@@ -33,6 +34,7 @@ from repro.serve.engine import LiveEngine
 from repro.serve.server import LiveSession
 from repro.state.algorithm import Sketch
 from repro.state.budget import WriteBudget, WriteBudgetExceededError
+from snapshot_oracle import reference_snapshot
 
 N = 64  # universe for generated streams
 SHARDS = 4
@@ -44,29 +46,34 @@ RANDOMIZED = ("count-min-morris", "pstable-fp")
 streams = st.lists(st.integers(0, N - 1), max_size=40)
 
 
-def make_runner(name: str, *, snapshot_mode: str, **kwargs) -> ShardedRunner:
-    """A small sharded runner in the given snapshot mode."""
+def make_runner(name: str, **kwargs) -> ShardedRunner:
+    """A small sharded runner."""
     return ShardedRunner.from_registry(
-        name,
-        SHARDS,
-        n=N,
-        m=512,
-        epsilon=1.0,
-        seed=7,
-        snapshot_mode=snapshot_mode,
-        **kwargs,
+        name, SHARDS, n=N, m=512, epsilon=1.0, seed=7, **kwargs
     )
 
 
-def assert_snapshots_identical(runners: list[ShardedRunner]) -> None:
-    """Every runner's merged snapshot carries the identical state."""
-    states = [runner.merged_snapshot().to_state() for runner in runners]
-    for state in states[1:]:
-        assert state == states[0]
+def incremental_state(runner: ShardedRunner) -> dict:
+    """The runner's memoized merged snapshot, serialized."""
+    return runner.merged_snapshot().to_state()
+
+
+def oracle_state(runner: ShardedRunner) -> dict:
+    """The reference reduce over the runner's shards, serialized."""
+    return reference_snapshot(runner.shards).to_state()
+
+
+def assert_matches_oracle(
+    incremental: ShardedRunner, reference: ShardedRunner
+) -> None:
+    """Two runners fed the same stream: the memoized snapshot of one
+    equals the reference reduce of the other."""
+    assert incremental_state(incremental) == oracle_state(reference)
 
 
 # ----------------------------------------------------------------------
-# The equivalence sweep: incremental == full == fresh batch run
+# The equivalence sweep: incremental == full rebuild (the oracle) ==
+# fresh batch run
 # ----------------------------------------------------------------------
 class TestIncrementalEqualsFull:
     @pytest.mark.parametrize("name", MERGEABLE)
@@ -76,27 +83,23 @@ class TestIncrementalEqualsFull:
     def test_two_phase_identity(self, name, tracking, first, second):
         """Snapshot at two cut points; the memoized second snapshot
         (which reuses clean leaves and tree nodes) must match both the
-        full rebuild and a fresh runner that ingested the whole prefix
-        in one go."""
-        incremental = make_runner(
-            name, snapshot_mode="incremental", tracking=tracking
-        )
-        full = make_runner(name, snapshot_mode="full", tracking=tracking)
+        reference reduce and a fresh runner that ingested the whole
+        prefix in one go."""
+        incremental = make_runner(name, tracking=tracking)
+        reference = make_runner(name, tracking=tracking)
         incremental.ingest(first)
-        full.ingest(first)
-        assert_snapshots_identical([incremental, full])
+        reference.ingest(first)
+        assert_matches_oracle(incremental, reference)
         incremental.ingest(second)
-        full.ingest(second)
-        fresh = make_runner(
-            name, snapshot_mode="full", tracking=tracking
-        )
+        reference.ingest(second)
+        fresh = make_runner(name, tracking=tracking)
         fresh.ingest(first + second)
-        assert_snapshots_identical([incremental, full, fresh])
-        # The incremental plane actually memoized (first snapshot
-        # cloned every leaf; the equivalence must not come from
-        # silently falling back to full rebuilds).
+        assert_matches_oracle(incremental, reference)
+        assert oracle_state(fresh) == oracle_state(reference)
+        # The incremental plane actually memoized: the first snapshot
+        # cloned every leaf.
         stats = incremental.snapshot_stats()
-        assert stats["full_rebuilds"] == 0
+        assert stats["cuts_taken"] == 2
         assert stats["leaves_cloned"] >= SHARDS
 
     @pytest.mark.parametrize("name", RANDOMIZED)
@@ -106,18 +109,12 @@ class TestIncrementalEqualsFull:
     def test_coin_protocols(self, name, protocol, first, second):
         """The randomized families stay bit-identical (coin RNG
         position included) under both coin protocols."""
-        incremental = make_runner(
-            name, snapshot_mode="incremental", coin_protocol=protocol
-        )
-        full = make_runner(
-            name, snapshot_mode="full", coin_protocol=protocol
-        )
-        incremental.ingest(first)
-        full.ingest(first)
-        assert_snapshots_identical([incremental, full])
-        incremental.ingest(second)
-        full.ingest(second)
-        assert_snapshots_identical([incremental, full])
+        incremental = make_runner(name, coin_protocol=protocol)
+        reference = make_runner(name, coin_protocol=protocol)
+        for part in (first, second):
+            incremental.ingest(part)
+            reference.ingest(part)
+            assert_matches_oracle(incremental, reference)
 
     @pytest.mark.parametrize("policy", ["freeze", "degrade"])
     @given(first=streams, second=streams)
@@ -126,49 +123,36 @@ class TestIncrementalEqualsFull:
         """Budget trackers (including denial-streak state under
         freeze/degrade) survive the memoized path bit-for-bit."""
         budget = WriteBudget(10, policy)
-        incremental = make_runner(
-            "misra-gries", snapshot_mode="incremental", budget=budget
-        )
-        full = make_runner(
-            "misra-gries", snapshot_mode="full", budget=budget
-        )
-        incremental.ingest(first)
-        full.ingest(first)
-        assert_snapshots_identical([incremental, full])
-        incremental.ingest(second)
-        full.ingest(second)
-        assert_snapshots_identical([incremental, full])
+        incremental = make_runner("misra-gries", budget=budget)
+        reference = make_runner("misra-gries", budget=budget)
+        for part in (first, second):
+            incremental.ingest(part)
+            reference.ingest(part)
+            assert_matches_oracle(incremental, reference)
 
     @given(first=streams, second=streams)
     @settings(max_examples=8, deadline=None)
     def test_checkpoint_resumed_runner(self, first, second):
         """Shards checkpointed mid-stream and restored into a new
-        runner snapshot identically to the uninterrupted one — in
-        both snapshot modes."""
-        original = make_runner("count-min", snapshot_mode="incremental")
+        runner snapshot identically to the uninterrupted one — and to
+        the reference reduce."""
+        original = make_runner("count-min")
         original.ingest(first)
         original.merged_snapshot()  # populate the caches mid-stream
         saved = [Checkpoint.dumps(shard) for shard in original.shards]
-        resumed = {
-            mode: ShardedRunner(
-                lambda i: Checkpoint.loads(saved[i]),
-                SHARDS,
-                seed=7,
-                snapshot_mode=mode,
-            )
-            for mode in ("incremental", "full")
-        }
-        original.ingest(second)
-        for runner in resumed.values():
-            runner.ingest(second)
-        assert_snapshots_identical(
-            [original, resumed["incremental"], resumed["full"]]
+        resumed = ShardedRunner(
+            lambda i: Checkpoint.loads(saved[i]), SHARDS, seed=7
         )
+        original.ingest(second)
+        resumed.ingest(second)
+        expected = oracle_state(resumed)
+        assert incremental_state(original) == expected
+        assert incremental_state(resumed) == expected
 
     def test_repeated_snapshots_are_independent(self):
         """Memoization must never alias: two snapshots of the same
         epoch are distinct objects with equal state."""
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(200))
         first = runner.merged_snapshot()
         second = runner.merged_snapshot()
@@ -209,7 +193,7 @@ class TestCloneProtocol:
         kwargs = {"tracking": tracking}
         if tracking == "budget":
             kwargs = {"budget": WriteBudget(10_000, "freeze")}
-        runner = make_runner(name, snapshot_mode="incremental", **kwargs)
+        runner = make_runner(name, **kwargs)
         runner.ingest(range(100))
         shard = runner.shards[0]
         changes_before = shard.report().state_changes
@@ -225,7 +209,7 @@ class TestCloneProtocol:
 # ----------------------------------------------------------------------
 class TestCacheInvalidation:
     def test_clean_shards_reuse_leaves_and_nodes(self):
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(400))
         runner.merged_snapshot()
         base = runner.snapshot_stats()
@@ -237,7 +221,7 @@ class TestCacheInvalidation:
         assert stats["nodes_built"] == base["nodes_built"]
 
     def test_dirty_shard_invalidates_its_root_path_only(self):
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(400))
         runner.merged_snapshot()
         base = runner.snapshot_stats()
@@ -254,13 +238,13 @@ class TestCacheInvalidation:
         assert stats["nodes_built"] - base["nodes_built"] == 2
         assert stats["nodes_reused"] - base["nodes_reused"] == 1
         # ... and the snapshot actually saw the update.
-        fresh = make_runner("count-min", snapshot_mode="full")
+        fresh = make_runner("count-min")
         fresh.ingest(range(400))
         fresh.shards[target].process(5)
-        assert merged.to_state() == fresh.merged_snapshot().to_state()
+        assert merged.to_state() == oracle_state(fresh)
 
     def test_merge_clears_caches_and_latches(self):
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(100))
         runner.merged_snapshot()
         assert runner._node_cache
@@ -271,7 +255,7 @@ class TestCacheInvalidation:
             runner.merged_snapshot()
 
     def test_failure_latch_clears_caches(self):
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(100))
         runner.merged_snapshot()
         assert runner._node_cache
@@ -284,22 +268,15 @@ class TestCacheInvalidation:
     def test_partial_writes_after_budget_raise_stay_identical(self):
         """A serial-mode budget raise does not latch the runner; the
         derived epoch keys pick up the partially-written shards, so
-        the memoized snapshot still matches a full rebuild."""
-        runners = []
-        for mode in ("incremental", "full"):
-            runner = make_runner(
-                "exact",
-                snapshot_mode=mode,
-                budget=WriteBudget(40, "raise"),
-            )
-            runner.ingest(np.arange(8, dtype=np.int64))
-            runner.merged_snapshot()
-            with pytest.raises(WriteBudgetExceededError):
-                # Columnar ingest: the raise happens mid-chunk inside
-                # a shard, leaving no stale routed buffers behind.
-                runner.ingest(np.arange(400, dtype=np.int64) % N)
-            runners.append(runner)
-        assert_snapshots_identical(runners)
+        the memoized snapshot still matches the reference reduce."""
+        runner = make_runner("exact", budget=WriteBudget(40, "raise"))
+        runner.ingest(np.arange(8, dtype=np.int64))
+        runner.merged_snapshot()
+        with pytest.raises(WriteBudgetExceededError):
+            # Columnar ingest: the raise happens mid-chunk inside a
+            # shard, leaving no stale routed buffers behind.
+            runner.ingest(np.arange(400, dtype=np.int64) % N)
+        assert incremental_state(runner) == oracle_state(runner)
 
 
 # ----------------------------------------------------------------------
@@ -339,14 +316,12 @@ class TestServingPlane:
         engine.finish()
         engine.snapshot(refresh=True)
         stats = engine.stats()
-        assert stats["snapshot_mode"] == "incremental"
         assert stats["refresh_count"] == stats["snapshots_taken"] > 0
         assert stats["refresh_mean_ms"] > 0.0
         assert stats["refresh_max_ms"] >= stats["refresh_last_ms"] >= 0.0
         assert stats["append_calls"] == 1
         assert stats["append_lock_held_ms"] > 0.0
         assert stats["snapshot_leaves_cloned"] >= 4
-        assert stats["snapshot_full_rebuilds"] == 0
         # A head-aligned re-snapshot is served purely from the caches.
         before = engine.stats()
         engine.snapshot(refresh=True)
@@ -372,7 +347,6 @@ class TestServingPlane:
             "append_lock_wait_ms",
             "snapshot_nodes_built",
             "snapshot_nodes_reused",
-            "snapshot_mode",
         ):
             assert field in response
         assert response["refresh_count"] >= 2  # two cadence boundaries
@@ -392,18 +366,15 @@ class TestServingPlane:
         response, alive = session.handle({"op": "stats"})
         assert alive and response["ok"]
 
-    def test_full_mode_engine_matches_incremental(self):
-        kwargs = dict(n=N, m=8192, shards=4, snapshot_every=512)
-        incremental = LiveEngine("misra-gries", **kwargs)
-        full = LiveEngine("misra-gries", snapshot_mode="full", **kwargs)
-        data = [i % N for i in range(3000)]
-        incremental.append(data)
-        full.append(data)
-        a = incremental.finish()
-        b = full.finish()
-        assert a.sketch.to_state() == b.sketch.to_state()
-        assert a.report == b.report
-        assert (
-            incremental.query(PointQuery(3)).answer
-            == full.query(PointQuery(3)).answer
+    def test_engine_snapshot_matches_oracle(self):
+        engine = LiveEngine(
+            "misra-gries", n=N, m=8192, shards=4, snapshot_every=512
+        )
+        engine.append([i % N for i in range(3000)])
+        snapshot = engine.finish()
+        reference = reference_snapshot(engine._runner.shards)
+        assert snapshot.sketch.to_state() == reference.to_state()
+        assert snapshot.report == reference.report()
+        assert engine.query(PointQuery(3)).answer == reference.query(
+            PointQuery(3)
         )
