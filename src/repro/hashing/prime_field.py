@@ -27,49 +27,57 @@ _U32 = np.uint64(32)
 _U61 = np.uint64(61)
 
 
-def _mod_mersenne(x: int) -> int:
-    """Reduce ``x`` modulo ``2^61 - 1`` without a division.
-
-    Valid for ``0 <= x < 2^122``, which covers products of two reduced
-    residues.
-    """
-    x = (x & MERSENNE_P) + (x >> 61)
-    if x >= MERSENNE_P:
-        x -= MERSENNE_P
-    return x
+def _domain_error(x) -> str:
+    return f"hash input {x} is outside [0, 2^61 - 1)"
 
 
 def _reduce_many(x: np.ndarray) -> np.ndarray:
-    """Fully reduce a ``uint64`` array with values ``< 2^62`` mod ``P``."""
-    x = (x & _P64) + (x >> _U61)
-    return np.where(x >= _P64, x - _P64, x)
+    """Canonical residue mod ``P`` of every value of a ``uint64`` array.
 
-
-def _mulmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ``a * b mod (2^61 - 1)`` for reduced ``uint64`` arrays.
-
-    The 122-bit product never materializes: with ``a = a1*2^32 + a0``
-    (and likewise ``b``), every partial product fits ``uint64`` —
-    ``a0*b0 < 2^64``, ``a1*b0 + a0*b1 < 2^62``, ``a1*b1 < 2^58`` — and
-    the powers of two fold down via ``2^64 ≡ 8`` and ``2^61 ≡ 1``
-    (mod ``P``).  Exactly matches the scalar
-    ``_mod_mersenne(a * b)`` on every input, which the chunked kernels'
-    bit-identity guarantee rests on.
+    One fold leaves ``(x & P) + (x >> 61) <= P + 7``; the wrapped
+    ``x - P`` is below ``x`` exactly when ``x >= P``, so the minimum
+    of the two is the residue.  Valid for *any* ``uint64``, which lets
+    a Horner step add its coefficient before its single reduction.
     """
-    a0 = a & _MASK32
-    a1 = a >> _U32
-    b0 = b & _MASK32
-    b1 = b >> _U32
-    low = a0 * b0
-    mid = a1 * b0 + a0 * b1
-    acc = (
-        ((a1 * b1) << _U3)          # 2^64 ≡ 2^3
-        + (mid >> _U29)             # mid_hi * 2^61 ≡ mid_hi
+    x = (x & _P64) + (x >> _U61)
+    return np.minimum(x, x - _P64)
+
+
+def _fold_many(low: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """``low + mid * 2^32`` folded mod ``P`` to a ``uint64 < 2^62 + 2^34``
+    (``low < 2^64``, ``mid < 2^62``): ``mid_hi * 2^61 ≡ mid_hi`` and
+    ``low_hi * 2^61 ≡ low_hi``."""
+    return (
+        (mid >> _U29)
         + ((mid & _MASK29) << _U32)
         + (low & _P64)
         + (low >> _U61)
     )
-    return _reduce_many(acc)
+
+
+def _mulmod_narrow(a, x: np.ndarray) -> np.ndarray:
+    """Unreduced ``a * x mod (2^61 - 1)`` for residues ``a`` (array or
+    scalar) and ``x < 2^32``; the result is ``< 2^62 + 2^33``.
+
+    With ``a = a1*2^32 + a0`` the product is ``a0*x + a1*x*2^32``:
+    ``a0*x < 2^64`` and ``a1*x < 2^61``, so the high limb of ``x``
+    and its two partial products never appear.
+    """
+    return _fold_many((a & _MASK32) * x, (a >> _U32) * x)
+
+
+def _mulmod_many(a, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Unreduced ``a * x mod (2^61 - 1)`` for residues ``a`` and
+    ``x = x1*2^32 + x0 < 2^61``; the result is ``< 3 * 2^61 + 2^34``.
+
+    The 122-bit product never materializes: every partial product fits
+    ``uint64`` — ``a0*x0 < 2^64``, ``a1*x0 + a0*x1 < 2^62``,
+    ``a1*x1 < 2^58`` — and the powers of two fold down via
+    ``2^64 ≡ 8`` and ``2^61 ≡ 1`` (mod ``P``).
+    """
+    a0 = a & _MASK32
+    a1 = a >> _U32
+    return ((a1 * x1) << _U3) + _fold_many(a0 * x0, a1 * x0 + a0 * x1)
 
 
 class KWiseHash:
@@ -103,28 +111,56 @@ class KWiseHash:
         # k-1; the remaining coefficients are uniform in GF(P).
         coeffs = [rng.randrange(MERSENNE_P) for _ in range(k - 1)]
         coeffs.append(rng.randrange(1, MERSENNE_P))
+        # Stored leading coefficient first, in Horner order.
+        coeffs.reverse()
         self._coeffs: Sequence[int] = tuple(coeffs)
         self._coeffs_u64 = tuple(np.uint64(c) for c in coeffs)
 
     def __call__(self, x: int) -> int:
-        """Evaluate the polynomial at ``x`` by Horner's rule."""
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = _mod_mersenne(_mod_mersenne(acc * x) + c)
+        """Evaluate the polynomial at ``x`` by Horner's rule, starting
+        at the leading coefficient.
+
+        Raises :class:`ValueError` for ``x`` outside ``[0, P)``.
+        """
+        if not 0 <= x < MERSENNE_P:
+            raise ValueError(_domain_error(x))
+        coeffs = self._coeffs
+        acc = coeffs[0]
+        for c in coeffs[1:]:
+            acc = (acc * x + c) % MERSENNE_P
         return acc
 
     def many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`__call__`: hash a whole ``int64`` chunk.
 
         Returns a ``uint64`` array with ``many(xs)[i] == self(xs[i])``
-        exactly — same Horner recurrence, same full reduction — so the
-        chunked kernels produce bit-identical buckets, signs, and
-        records to the scalar path.
+        exactly (same Horner recurrence, canonical residues), which the
+        chunked kernels' bit-identity to the scalar path rests on.  Each
+        step adds its coefficient to the unreduced product and reduces
+        once.  The chunk's maximum picks the multiply: the narrow
+        one-limb path below ``2^32``, the full two-limb one otherwise.
+        The same maximum rejects a chunk holding an item outside
+        ``[0, P)`` with :class:`ValueError` (negatives wrap to
+        ``>= 2^63``), so a kernel that hashes before it writes refuses
+        the chunk whole.
         """
         x = np.asarray(xs).astype(np.uint64)
-        acc = np.zeros(len(x), dtype=np.uint64)
-        for c in reversed(self._coeffs_u64):
-            acc = _reduce_many(_mulmod_many(acc, x) + c)
+        if not len(x):
+            return x
+        top = x.max()
+        if top >= _P64:
+            raise ValueError(_domain_error(np.asarray(xs)[x >= _P64][0]))
+        acc, *rest = self._coeffs_u64
+        if not rest:
+            return np.full(len(x), acc)
+        if top <= _MASK32:
+            for c in rest:
+                acc = _reduce_many(_mulmod_narrow(acc, x) + c)
+        else:
+            x0 = x & _MASK32
+            x1 = x >> _U32
+            for c in rest:
+                acc = _reduce_many(_mulmod_many(acc, x0, x1) + c)
         return acc
 
     def unit(self, x: int) -> float:

@@ -135,6 +135,22 @@ class TestCountMin:
         assert algo.width >= 27
         assert algo.depth >= 3
 
+    @pytest.mark.parametrize("ingest", ["process_many", "process_chunk"])
+    def test_negative_items_rejected_whole(self, ingest):
+        # A negative item must not wrap into the field on the chunk
+        # path while the scalar path hashes the Python int: both
+        # paths refuse the batch before any cell changes.
+        algo = CountMin(64, 3, seed=1)
+        algo.process_many([7, 9])
+        before = algo.to_state()
+        with pytest.raises(ValueError, match="-3"):
+            getattr(algo, ingest)([-3, -3, 7])
+        assert algo.to_state() == before
+        assert algo.items_processed == 2
+        with pytest.raises(ValueError, match="-3"):
+            algo.estimate(-3)
+        assert algo.estimate(7) >= 1
+
 
 class TestCountSketch:
     def test_unbiased_point_queries(self):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from repro.hashing import (
     NestedUniverseSampler,
     hash_to_unit,
 )
+from repro.hashing.prime_field import _reduce_many
 
 
 class TestKWiseHash:
@@ -68,6 +70,100 @@ class TestKWiseHash:
     def test_hash_is_pure(self, x):
         h = KWiseHash(3, seed=42)
         assert h(x) == h(x)
+
+
+def reference_hash(k: int, seed: int, x: int) -> int:
+    """The polynomial evaluated term by term, from the same coefficient
+    draw as :class:`KWiseHash` (``k - 1`` uniform, then a non-zero
+    leading one)."""
+    rng = random.Random(seed)
+    coeffs = [rng.randrange(MERSENNE_P) for _ in range(k - 1)]
+    coeffs.append(rng.randrange(1, MERSENNE_P))
+    return sum(c * pow(x, i, MERSENNE_P) for i, c in enumerate(coeffs)) % (
+        MERSENNE_P
+    )
+
+
+NARROW_EDGES = [0, 2**32 - 1]
+WIDE_EDGES = [0, 2**32 - 1, 2**32, MERSENNE_P - 1]
+
+# Chunks for each path of the vectorized kernel: narrow (every item
+# below 2^32), wide (items anywhere in [0, P)), ones straddling 2^32
+# (mostly just above it, where a narrow multiply would overflow), and
+# the empty chunk.  Narrow and wide chunks always carry the domain
+# edges that fit them.
+kernel_chunks = st.one_of(
+    st.lists(st.integers(0, 2**32 - 1), max_size=40).map(
+        lambda xs: xs + NARROW_EDGES
+    ),
+    st.lists(st.integers(0, MERSENNE_P - 1), max_size=40).map(
+        lambda xs: xs + WIDE_EDGES
+    ),
+    st.lists(
+        st.integers(2**32 - 3, 2**32 + 2) | st.integers(0, 2**40),
+        min_size=1,
+        max_size=40,
+    ),
+    st.just([]),
+)
+
+
+class TestVectorizedKernel:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+    @given(seed=st.integers(0, 2**32), items=kernel_chunks)
+    @settings(max_examples=60, deadline=None)
+    def test_many_matches_scalar(self, k, seed, items):
+        h = KWiseHash(k, seed=seed)
+        xs = np.array(items, dtype=np.int64)
+        got = h.many(xs)
+        assert got.dtype == np.uint64
+        expected = [h(int(x)) for x in xs]
+        assert got.tolist() == expected
+        assert expected == [reference_hash(k, seed, x) for x in items]
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @given(
+        seed=st.integers(0, 2**32),
+        items=kernel_chunks,
+        num_buckets=st.integers(1, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_wrappers_match_scalar(self, k, seed, items, num_buckets):
+        h = KWiseHash(k, seed=seed)
+        xs = np.array(items, dtype=np.int64)
+        buckets = h.bucket_many(xs, num_buckets)
+        signs = h.sign_many(xs)
+        assert buckets.dtype == signs.dtype == np.int64
+        assert buckets.tolist() == [h.bucket(x, num_buckets) for x in items]
+        assert signs.tolist() == [h.sign(x) for x in items]
+        # uint64 -> float64 may round one ulp away from int / int.
+        units = h.unit_many(xs)
+        assert units.tolist() == (
+            np.array([h(x) for x in items], dtype=np.uint64) / MERSENNE_P
+        ).tolist()
+        for unit, x in zip(units.tolist(), items):
+            assert math.isclose(unit, h.unit(x), rel_tol=2**-52)
+
+    def test_reduce_many_is_canonical_on_every_uint64(self):
+        # Values a single fold leaves in [P, P + 7] need the final
+        # subtraction; random hashes almost never reach them.
+        edges = [0, 1, MERSENNE_P - 1, MERSENNE_P, MERSENNE_P + 7]
+        edges += [2 * MERSENNE_P, 2**62, 2**63 + 5, 2**64 - 1]
+        edges += [(MERSENNE_P + 1) * j - 1 for j in range(1, 8)]
+        got = _reduce_many(np.array(edges, dtype=np.uint64))
+        assert got.tolist() == [x % MERSENNE_P for x in edges]
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("bad", [-1, -3, MERSENNE_P, 2**63 - 1])
+    def test_items_outside_field_rejected(self, k, bad):
+        h = KWiseHash(k, seed=5)
+        with pytest.raises(ValueError, match=str(bad)):
+            h(bad)
+        for items in ([bad], [7, bad, 2**40], [bad, 0, 1]):
+            with pytest.raises(ValueError, match=str(bad)):
+                h.many(np.array(items, dtype=np.int64))
+        with pytest.raises(ValueError):
+            h.bucket_many(np.array([1, bad], dtype=np.int64), 8)
 
 
 class TestHashToUnit:

@@ -301,6 +301,39 @@ class TestSocketServer:
                 server.shutdown()
             thread.join(5.0)
 
+    def test_negative_items_answer_in_band(self):
+        # Negative items are outside the hash field: the append is
+        # refused whole, and the same connection keeps serving.
+        engine = LiveEngine("count-min", n=N, seed=7, snapshot_every=256)
+        with LiveServer(engine, port=0) as server:
+            thread = threading.Thread(
+                target=server.serve_forever,
+                kwargs={"poll_interval": 0.05},
+                daemon=True,
+            )
+            thread.start()
+            try:
+                host, port = server.address
+                with socket.create_connection(
+                    (host, port), timeout=5.0
+                ) as conn:
+                    reader = conn.makefile("r", encoding="utf-8")
+
+                    def send(payload: dict) -> dict:
+                        conn.sendall(json.dumps(payload).encode() + b"\n")
+                        return json.loads(reader.readline())
+
+                    assert send({"op": "append", "items": [7, 7]})["ok"]
+                    bad = send({"op": "append", "items": [-3, -3, 7]})
+                    assert bad["ok"] is False
+                    assert "-3" in bad["error"]
+                    answer = send({"op": "query", "kind": "point", "item": 7})
+                    assert answer["ok"] and answer["head"] == 2
+                    assert answer["value"] >= 2
+            finally:
+                server.shutdown()
+            thread.join(5.0)
+
     def test_concurrent_appends_and_queries(self):
         engine = LiveEngine(
             "count-min", n=N, epsilon=0.2, seed=8, snapshot_every=512
