@@ -76,9 +76,10 @@ PREPASS_SKETCHES = ("misra-gries", "space-saving")
 
 #: The randomized families with coin-protocol-v2 vectorized kernels
 #: (index-addressable Philox coins + geometric skip-sampling).  The
-#: >= 3x geomean gate applies across the set; sample-and-hold sits
-#: near 1x individually because its settle volume is genuine state
-#: work — the held heavy items must absorb in both arms.
+#: >= 3x geomean gate applies across the set.  sample-and-hold gains
+#: the least: every flagged arrival (reservoir traffic, creations,
+#: prunes) still settles one at a time; only the held-counter hits
+#: are absorbed in bulk, one ``absorb(k)`` per held item per prune.
 RANDOMIZED_SKETCHES = (
     "count-min-morris",
     "pstable-fp",
@@ -764,9 +765,9 @@ def test_randomized_throughput(save_result):
     assert payload["identical_runs"], payload
     # The perf gate applies to calibrated full-size runs; quick mode
     # (the CI trajectory job) records the numbers without gating on
-    # shared-runner jitter.  sample-and-hold is bounded rather than
-    # gated — its settle volume is genuine state work done by both
-    # arms, so it hovers near 1x by construction.
+    # shared-runner jitter.  Each family is only bounded below 1x:
+    # sample-and-hold, whose flagged arrivals still settle one at a
+    # time, gains the least.
     if not os.environ.get("REPRO_BENCH_QUICK"):
         assert payload["geomean_chunked_speedup"] >= 3.0, payload
         for name, row in payload["results"].items():

@@ -113,9 +113,13 @@ class AdaptiveFullSampleAndHold(StreamAlgorithm):
         return len(self._epochs)
 
     def _answer_point(self, q: PointQuery) -> ScalarAnswer:
-        return ScalarAnswer(
-            QueryKind.POINT, self._estimates_impl(None).get(q.item, 0.0)
-        )
+        """Summed per-epoch estimate of ``q.item`` alone."""
+        total = 0.0
+        for epoch in self._epochs:
+            value = epoch._combined_estimate(q.item, epoch.level_rule)
+            if value is not None:
+                total += value
+        return ScalarAnswer(QueryKind.POINT, total)
 
     def _answer_all_estimates(self, q: AllEstimates) -> MapAnswer:
         return MapAnswer(QueryKind.ALL_ESTIMATES, self._estimates_impl(None))

@@ -173,9 +173,10 @@ class PStableFpEstimator(StreamAlgorithm):
             theta = gen.uniform(-_HALF_PI, _HALF_PI, self.num_rows)
             r = gen.uniform(0.0, 1.0, self.num_rows)
             column = cms_transform(self.p, theta, r)
-            if len(self._variate_cache) >= self._cache_capacity:
-                self._variate_cache.clear()
-            self._variate_cache[item] = column
+            # A full cache keeps what it holds: clearing it would
+            # regenerate the hot columns along with the cold ones.
+            if len(self._variate_cache) < self._cache_capacity:
+                self._variate_cache[item] = column
         return column
 
     def _step_levels(
@@ -251,12 +252,18 @@ class PStableFpEstimator(StreamAlgorithm):
     def _absorb_block(
         self, chunk: np.ndarray, audit: ChunkAudit, offset: int
     ) -> None:
-        """One screening block of the chunk kernel.
+        """One screening block of the chunk kernel, settled row-parallel.
 
-        The screen against block-start gaps is conservative: the climb
-        condition ``(w >= gap) | (u * gap < w)`` is monotone decreasing
-        in the level, and levels only rise mid-block, so an unflagged
-        position stays a no-op for every row under any later levels.
+        Every (position, row) cell is screened against the block-start
+        gaps.  The climb condition ``(w >= gap) | (u * gap < w)`` is
+        monotone decreasing in the level, and levels only rise
+        mid-block, so an unflagged cell stays a no-op under any later
+        levels.  A row's levels depend only on that row's cells, in
+        position order, so step ``k`` settles the ``k``-th flagged cell
+        of every row at once.  Each step hands
+        :func:`weighted_morris_step` full ``(rows,)`` arrays, weight 0
+        on idle lanes, so every lane computes at the same offset as in
+        the scalar path.
         """
         n = len(chunk)
         rows = self.num_rows
@@ -275,20 +282,42 @@ class PStableFpEstimator(StreamAlgorithm):
         gap_pos = np.power(1.0 + a, self._pos_levels.astype(np.float64))
         gap_neg = np.power(1.0 + a, self._neg_levels.astype(np.float64))
         gaps = np.where(variates >= 0.0, gap_pos[None, :], gap_neg[None, :])
-        flagged = (
-            (magnitudes >= gaps) | (uniforms * gaps < magnitudes)
-        ).any(axis=1)
-        for local in np.nonzero(flagged)[0].tolist():
-            new_pos, new_neg = self._step_levels(
-                variates[local], uniforms[local]
-            )
-            position = offset + local
-            for prefix, levels, new in (
-                ("pstable.pos", self._pos_levels, new_pos),
-                ("pstable.neg", self._neg_levels, new_neg),
-            ):
+        flagged = (magnitudes >= gaps) | (uniforms * gaps < magnitudes)
+        # Flagged cells in (row, position) order; ``rank`` is a cell's
+        # index among its row's flagged cells, i.e. its settle step.
+        cell_rows, cell_positions = np.nonzero(flagged.T)
+        if len(cell_rows) == 0:
+            return
+        per_row = np.bincount(cell_rows, minlength=rows)
+        rank = np.arange(len(cell_rows)) - (np.cumsum(per_row) - per_row)[
+            cell_rows
+        ]
+        # Step k's position per lane; ``n`` marks an idle lane.
+        table = np.full((int(per_row.max()), rows), n, dtype=np.int64)
+        table[rank, cell_rows] = cell_positions
+        pick = (np.minimum(table, n - 1), np.arange(rows))
+        weights = np.where(table < n, variates[pick], 0.0)
+        step_uniforms = uniforms[pick]
+        halves = (
+            (
+                "pstable.pos",
+                self._pos_levels,
+                np.where(weights >= 0.0, weights, 0.0),
+            ),
+            (
+                "pstable.neg",
+                self._neg_levels,
+                np.where(weights < 0.0, -weights, 0.0),
+            ),
+        )
+        for k in range(len(table)):
+            for prefix, levels, half_weights in halves:
+                new = weighted_morris_step(
+                    a, levels, half_weights[k], step_uniforms[k]
+                )
                 changed = np.nonzero(new != levels)[0]
-                for i in changed.tolist():
+                positions = offset + table[k, changed]
+                for i, position in zip(changed.tolist(), positions.tolist()):
                     audit.write(f"{prefix}[{i}]", True, position)
                 levels[changed] = new[changed]
 

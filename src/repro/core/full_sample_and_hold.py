@@ -221,18 +221,25 @@ class FullSampleAndHold(StreamAlgorithm):
                 for x in range(deepest):
                     self._length_counters[x].add()
 
+    #: Events converted to Python scalars at a time by the chunk kernel.
+    _SETTLE_SLICE = 4096
+
     def _update_chunk(self, chunk: np.ndarray) -> None:
         """Vectorized grid dispatch: split the chunk into per-level
         substreams from the indexed level coins, screen each instance's
         substream with its own chunk flags, then settle every flagged
         event in exact scalar order (position, repetition, level) so
         allocation/eviction interleaving — and thus peak words —
-        matches the scalar loop."""
+        matches the scalar loop.  Held-counter hits are deferred by the
+        instances and absorbed before each prune and at chunk end."""
         n = len(chunk)
         audit = ChunkAudit(n, self.tracker.needs_cell_ids)
         t0 = self._t
         self._t = t0 + n
-        events: list[tuple[int, int, int, SampleAndHold, int, int, float]] = []
+        instances = [instance for row in self._instances for instance in row]
+        # Flagged events per instance, as columns: chunk position,
+        # instance index (r * num_levels + x), item, coin index, coin.
+        columns: list[tuple[np.ndarray, ...]] = []
         deepest_first = None
         for r, coins in enumerate(self._level_coins):
             u = coins.uniform_block(t0, n)
@@ -245,28 +252,26 @@ class FullSampleAndHold(StreamAlgorithm):
             )
             if r == 0:
                 deepest_first = deepest
-            row = self._instances[r]
             for x in range(self.num_levels):
                 positions = np.nonzero(deepest > x)[0]
                 if len(positions) == 0:
                     break  # levels are nested: deeper ones are empty too
-                instance = row[x]
+                which = r * self.num_levels + x
+                instance = instances[which]
                 sub = chunk[positions]
                 sub_t0 = instance._t
                 uniforms, flagged = instance._chunk_flags(sub)
                 instance._t = sub_t0 + len(sub)
-                for local in np.nonzero(flagged)[0].tolist():
-                    events.append(
-                        (
-                            int(positions[local]),
-                            r,
-                            x,
-                            instance,
-                            int(sub[local]),
-                            sub_t0 + local,
-                            float(uniforms[local]),
-                        )
+                local = np.nonzero(flagged)[0]
+                columns.append(
+                    (
+                        positions[local],
+                        np.full(len(local), which),
+                        sub[local],
+                        sub_t0 + local,
+                        uniforms[local],
                     )
+                )
         # Substream length counters (first copy only): batch-absorb each
         # level's arrivals, mapping transition ordinals back to chunk
         # positions.  No allocation churn, so ordering vs. the instance
@@ -278,12 +283,22 @@ class FullSampleAndHold(StreamAlgorithm):
             counter = self._length_counters[x]
             for ordinal in counter.absorb(len(positions)):
                 audit.write(counter.cell_id, True, int(positions[ordinal - 1]))
-        # A position occurs at most once per (r, x) substream, so the
-        # (position, r, x) prefix is unique and the sort never compares
-        # the instance element.
-        events.sort()
-        for _position, _r, _x, instance, item, idx, u_sample in events:
-            instance._step_absorb(item, idx, u_sample, _position, audit)
+        # A position occurs at most once per instance substream, so
+        # (position, instance index) orders the events uniquely.
+        events = [np.concatenate(column) for column in zip(*columns)]
+        del columns
+        order = np.lexsort((events[1], events[0]))
+        steps = [instance._step_absorb for instance in instances]
+        # Python scalars are made one slice at a time: a list per
+        # column for the whole chunk would dominate peak memory.
+        for start in range(0, len(order), self._SETTLE_SLICE):
+            picked = order[start:start + self._SETTLE_SLICE]
+            for position, which, item, idx, u_sample in zip(
+                *(column[picked].tolist() for column in events)
+            ):
+                steps[which](item, idx, u_sample, position, audit)
+        for instance in instances:
+            instance._absorb_pending(audit)
         audit.commit(self.tracker, n)
 
     # ------------------------------------------------------------------
@@ -298,10 +313,10 @@ class FullSampleAndHold(StreamAlgorithm):
         return float(statistics.median(values))
 
     def _answer_point(self, q: PointQuery) -> ScalarAnswer:
-        """Rescaled frequency estimate for one item (0 if never held)."""
-        return ScalarAnswer(
-            QueryKind.POINT, self._estimates_impl(None).get(q.item, 0.0)
-        )
+        """Rescaled frequency estimate for one item (0 if never held):
+        only ``q.item``'s per-level medians, not the whole map."""
+        value = self._combined_estimate(q.item, self.level_rule)
+        return ScalarAnswer(QueryKind.POINT, 0.0 if value is None else value)
 
     def _answer_all_estimates(self, q: AllEstimates) -> MapAnswer:
         """Estimates for every held item, under the default level rule."""
@@ -351,20 +366,26 @@ class FullSampleAndHold(StreamAlgorithm):
 
         results: dict[int, float] = {}
         for item in candidates:
-            per_level: list[tuple[int, float]] = []
-            for x in range(1, self.num_levels + 1):
-                med = self._median_estimate(item, x - 1)
-                if med > 0:
-                    per_level.append((x, med * 2.0 ** (x - 1)))
-            if not per_level:
-                continue
-            if rule == "max":
-                results[item] = max(value for _, value in per_level)
-            elif rule == "shallowest":
-                results[item] = per_level[0][1]
-            else:
-                results[item] = self._min_length_rule(item, per_level)
+            value = self._combined_estimate(item, rule)
+            if value is not None:
+                results[item] = value
         return results
+
+    def _combined_estimate(self, item: int, rule: str) -> float | None:
+        """``item``'s rescaled per-level medians combined under
+        ``rule``; ``None`` when no level holds it."""
+        per_level: list[tuple[int, float]] = []
+        for x in range(1, self.num_levels + 1):
+            med = self._median_estimate(item, x - 1)
+            if med > 0:
+                per_level.append((x, med * 2.0 ** (x - 1)))
+        if not per_level:
+            return None
+        if rule == "max":
+            return max(value for _, value in per_level)
+        if rule == "shallowest":
+            return per_level[0][1]
+        return self._min_length_rule(item, per_level)
 
     def _min_length_rule(
         self, item: int, per_level: list[tuple[int, float]]

@@ -249,6 +249,9 @@ class SampleAndHold(StreamAlgorithm):
         # array for O(1) membership tests (reads are free in the model).
         self._reservoir_members: dict[int, int] = {}
         self._held: dict[int, _HeldCounter] = {}
+        # Chunk kernel only: held item -> chunk positions of hits its
+        # counter has not absorbed yet (empty between chunks).
+        self._pending: dict[int, list[int]] = {}
         self._prunes = 0
 
     # ------------------------------------------------------------------
@@ -393,7 +396,16 @@ class SampleAndHold(StreamAlgorithm):
     # ------------------------------------------------------------------
     def _update_chunk(self, chunk: np.ndarray) -> None:
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
-        self._absorb_chunk(chunk, range(len(chunk)), audit)
+        t0 = self._t
+        uniforms, flagged = self._chunk_flags(chunk)
+        self._t = t0 + len(chunk)
+        for i, item, u_sample in zip(
+            np.nonzero(flagged)[0].tolist(),
+            chunk[flagged].tolist(),
+            uniforms[flagged].tolist(),
+        ):
+            self._step_absorb(item, t0 + i, u_sample, i, audit)
+        self._absorb_pending(audit)
         audit.commit(self.tracker, len(chunk))
 
     def _chunk_flags(
@@ -430,21 +442,6 @@ class SampleAndHold(StreamAlgorithm):
         flagged = hits | np.isin(items, np.concatenate(watch))
         return uniforms, flagged
 
-    def _absorb_chunk(self, items, positions, audit: ChunkAudit) -> None:
-        """Settle a chunk's flagged arrivals in stream order,
-        accounting into ``audit`` at the given positions."""
-        t0 = self._t
-        uniforms, flagged = self._chunk_flags(items)
-        self._t = t0 + len(items)
-        for i in np.nonzero(flagged)[0].tolist():
-            self._step_absorb(
-                int(items[i]),
-                t0 + i,
-                float(uniforms[i]),
-                positions[i],
-                audit,
-            )
-
     def _step_absorb(
         self,
         item: int,
@@ -455,11 +452,15 @@ class SampleAndHold(StreamAlgorithm):
     ) -> None:
         """The v2 arrival step with audit-side accounting: identical
         state transitions to :meth:`_step`, but writes land in the
-        chunk audit and registers are stored untracked."""
-        held = self._held.get(item)
-        if held is not None:
-            for _ in held.counter.absorb(1):
-                audit.write(held.counter.cell_id, True, position)
+        chunk audit and registers are stored untracked.
+
+        A hit on a held item only feeds that item's counter, and only
+        a prune reads counters, so the hit is deferred to
+        :meth:`_absorb_pending`, which runs before each prune and, by
+        the caller, at chunk end.
+        """
+        if item in self._held:
+            self._pending.setdefault(item, []).append(position)
             return
         if item in self._reservoir_members:
             counter = self._new_counter()
@@ -469,6 +470,7 @@ class SampleAndHold(StreamAlgorithm):
             created_at = idx + 1
             self._held[item] = _HeldCounter(counter, created_at)
             if len(self._held) >= self._budget:
+                self._absorb_pending(audit)
                 self._prune_counters(created_at, audit, position)
             return
         if u_sample < self.params.sample_probability:
@@ -480,6 +482,20 @@ class SampleAndHold(StreamAlgorithm):
             audit.write(f"q[{slot}]", item != evicted, position)
             self._reservoir.store_at(slot, item)
             self._reservoir_members[item] = slot
+
+    def _absorb_pending(self, audit: ChunkAudit) -> None:
+        """Feed each held counter its deferred hits in one ``absorb``.
+
+        ``absorb(k)`` climbs exactly as ``k`` calls of ``absorb(1)``,
+        so transition ordinal ``j`` is the ``j``-th deferred hit: the
+        write lands at the chunk position a per-hit settle would have
+        charged.
+        """
+        for item, positions in self._pending.items():
+            counter = self._held[item].counter
+            for ordinal in counter.absorb(len(positions)):
+                audit.write(counter.cell_id, True, positions[ordinal - 1])
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     # Queries

@@ -64,6 +64,20 @@ class TestEstimation:
         assert algo.estimate(31) == 0.0
 
 
+    def test_point_answer_equals_the_estimate_map(self):
+        n = 256
+        algo = AdaptiveFullSampleAndHold(
+            n=n, p=2, epsilon=0.5, initial_m=512, seed=6, repetitions=1
+        )
+        algo.process_stream(zipf_stream(n, 4000, skew=1.2, seed=6))
+        assert algo.num_epochs > 1
+        estimates = algo.estimates()
+        unheld = [item for item in range(n) if item not in estimates]
+        assert estimates and unheld
+        for item in list(estimates) + unheld[:20]:
+            assert algo.estimate(item) == estimates.get(item, 0.0)
+
+
 class TestStateChanges:
     def test_sublinear_overall(self):
         n, m = 1024, 60000

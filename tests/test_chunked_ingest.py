@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.api import Engine
+from repro.core import FullSampleAndHold, fp_pstable
+from repro.core.sample_and_hold import SampleAndHold, SampleAndHoldParams
 from repro.query import (
     AllEstimates,
     Distinct,
@@ -457,3 +459,125 @@ class TestCheckpointResume:
         assert Checkpoint.offset(path.read_text()) == 50
         resumed = Checkpoint.resume(path, ChunkedStream(ARR))
         assert resumed.items_processed == M
+
+
+#: A stream on which the few-write kernels take their bulk paths:
+#: sample-and-hold budgets small enough to prune inside a chunk, and
+#: p-stable blocks that settle several flagged cells of one row.
+FEW_N, FEW_M = 256, 2400
+FEW_ARR = _zipf_draws(FEW_N, FEW_M, 1.1, 4)
+PSTABLE_FAMILIES = ("pstable-fp", "entropy")
+FEW_WRITE_FAMILIES = (
+    "sample-and-hold", "sample-and-hold-instance", *PSTABLE_FAMILIES,
+)
+
+
+def few_write_sketch(name: str, tracker):
+    if name == "sample-and-hold":
+        return FullSampleAndHold(
+            n=FEW_N, m=FEW_M, p=2, epsilon=0.5, seed=9, tracker=tracker,
+            kappa_scale=1.0, budget_scale=0.01,
+        )
+    if name == "sample-and-hold-instance":
+        params = SampleAndHoldParams(
+            sample_probability=0.2, kappa=4, budget_low=8, budget_high=10,
+            counter_a=0.125,
+        )
+        return SampleAndHold(params, seed=9, tracker=tracker)
+    return registry.create(
+        name, n=FEW_N, m=FEW_M, epsilon=0.5, seed=9, tracker=tracker
+    )
+
+
+_FEW_SCALAR: dict = {}
+
+
+def few_write_scalar(name: str, mode: str) -> tuple:
+    """Fingerprint and prune count of the scalar run (memoized)."""
+    if (name, mode) not in _FEW_SCALAR:
+        sketch = few_write_sketch(name, make_tracker(mode))
+        sketch.process_many(FEW_ARR.tolist())
+        prunes = None if name in PSTABLE_FAMILIES else num_prunes(sketch)
+        _FEW_SCALAR[name, mode] = fingerprint(sketch), prunes
+    return _FEW_SCALAR[name, mode]
+
+
+def num_prunes(sketch) -> int:
+    if isinstance(sketch, SampleAndHold):
+        return sketch.num_prunes
+    return sum(
+        instance.num_prunes for row in sketch._instances for instance in row
+    )
+
+
+@pytest.fixture
+def settle_steps(monkeypatch):
+    """Per p-stable screening block, the ``weighted_morris_step`` calls
+    it made (two per settle step: the pos and the neg half)."""
+    per_block: list[int] = []
+    step = fp_pstable.weighted_morris_step
+    absorb = fp_pstable.PStableFpEstimator._absorb_block
+
+    def counting_step(*args):
+        per_block[-1] += 1
+        return step(*args)
+
+    def counting_block(self, *args):
+        per_block.append(0)
+        return absorb(self, *args)
+
+    monkeypatch.setattr(fp_pstable, "weighted_morris_step", counting_step)
+    monkeypatch.setattr(
+        fp_pstable.PStableFpEstimator, "_absorb_block", counting_block
+    )
+    return per_block
+
+
+class TestFewWriteKernelPaths:
+    """Chunked ≡ scalar where the bulk settles actually run: prunes
+    that flush deferred held-counter hits mid-chunk, and row-parallel
+    p-stable steps that settle two or more cells of one row."""
+
+    @pytest.mark.parametrize("sizes", [[FEW_M], [333], [1, 50, 999]])
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    @pytest.mark.parametrize("name", FEW_WRITE_FAMILIES)
+    def test_chunked_equals_scalar(self, name, mode, sizes, request):
+        expected, scalar_prunes = few_write_scalar(name, mode)
+        pstable = name in PSTABLE_FAMILIES
+        if pstable:
+            per_block = request.getfixturevalue("settle_steps")
+        chunked = few_write_sketch(name, make_tracker(mode))
+        position = index = 0
+        while position < FEW_M:
+            size = sizes[index % len(sizes)]
+            index += 1
+            chunked.process_chunk(FEW_ARR[position:position + size])
+            position += size
+        assert fingerprint(chunked) == expected
+        if pstable:
+            assert max(per_block) >= 4
+        else:
+            assert num_prunes(chunked) == scalar_prunes > 0
+
+    @pytest.mark.parametrize("name", FEW_WRITE_FAMILIES)
+    def test_budget_freeze_cutover(self, name):
+        def run(chunked: bool):
+            sketch = few_write_sketch(
+                name, make_tracker(budget=WriteBudget(300, "freeze"))
+            )
+            if chunked:
+                for start in range(0, FEW_M, 400):
+                    sketch.process_chunk(FEW_ARR[start:start + 400])
+            else:
+                sketch.process_many(FEW_ARR.tolist())
+            report = sketch.tracker.budget_report()
+            prunes = None if name in PSTABLE_FAMILIES else num_prunes(sketch)
+            return fingerprint(sketch), report, prunes
+
+        chunked, scalar = run(chunked=True), run(chunked=False)
+        assert chunked == scalar
+        _, report, prunes = chunked
+        # The budget runs out mid-stream: kernel prefixes sized by
+        # bulk_admit, then the scalar gate freezes the rest.
+        assert report.exhausted and report.denied > 0
+        assert prunes is None or prunes > 0

@@ -97,3 +97,29 @@ class TestCoordinates:
         algo._variate_cache.clear()
         second = algo._variates(42)
         assert first.tolist() == second.tolist()
+
+    def test_full_variate_cache_keeps_its_entries(self, monkeypatch):
+        from repro.core import fp_pstable
+
+        calls = []
+        transform = fp_pstable.cms_transform
+
+        def counting(p, theta, r):
+            calls.append(1)
+            return transform(p, theta, r)
+
+        monkeypatch.setattr(fp_pstable, "cms_transform", counting)
+        stream = [item % 10 for item in range(200)]
+        small = PStableFpEstimator(p=0.5, num_rows=9, seed=4)
+        small._cache_capacity = 4
+        small.process_many(stream)
+        # Items 0-3 are cached on first sight and never regenerated;
+        # every arrival of items 4-9 misses.
+        assert len(calls) == 4 + 6 * 20
+        assert sorted(small._variate_cache) == [0, 1, 2, 3]
+        calls.clear()
+        default = PStableFpEstimator(p=0.5, num_rows=9, seed=4)
+        default.process_many(stream)
+        assert len(calls) == 10
+        assert small.coordinates() == default.coordinates()
+        assert small.report() == default.report()

@@ -101,3 +101,22 @@ class TestStateChanges:
         for item, fhat in algo.estimates().items():
             if f[item] >= 100:
                 assert fhat <= 4.0 * f[item]
+
+
+class TestPointQuery:
+    @pytest.mark.parametrize("level_rule", ["max", "shallowest", "min-length"])
+    def test_point_answer_equals_the_estimate_map(self, level_rule):
+        from repro.query import AllEstimates, PointQuery
+
+        n, m = 300, 6000
+        algo = FullSampleAndHold(
+            n=n, m=m, p=2, epsilon=0.5, seed=2, level_rule=level_rule
+        )
+        algo.process_stream(zipf_stream(n, m, skew=1.2, seed=2))
+        estimates = algo.query(AllEstimates()).values
+        unheld = [item for item in range(n) if item not in estimates]
+        assert estimates and unheld
+        for item in list(estimates) + unheld[:20]:
+            assert algo.query(PointQuery(item)).value == estimates.get(
+                item, 0.0
+            )
